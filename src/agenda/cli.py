@@ -140,7 +140,7 @@ def _cmd_corrpca(args):
         if args.spectrum:
             rows = [
                 (idx, "%r" % ev, "%r" % corr)
-                for idx, ev, corr in corrpca.correlation_spectrum(dataset)
+                for idx, ev, corr in corrpca.correlation_spectrum(dataset, subspace)
             ]
             comments = _comment_block(
                 "corrpca", args.seed,

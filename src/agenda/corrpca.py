@@ -108,8 +108,14 @@ def project(subspace, dataset):
     )
 
 
-def correlation_spectrum(dataset):
-    """Per-eigenvector (index, eigenvalue, |corr|) rows, eigenvalue-descending."""
+def correlation_spectrum(dataset, subspace=None):
+    """Per-eigenvector (index, eigenvalue, |corr|) rows, eigenvalue-descending.
+
+    Given a ``subspace`` fitted on ``dataset``, the rows come from its fit
+    records instead of a second decomposition of the same covariance.
+    """
+    if subspace is not None and subspace.records is not None:
+        return [(r.index, r.eigenvalue, abs(r.correlation)) for r in subspace.records]
     decomp, corrs, _ = _eigen_correlations(dataset)
     return [
         (j, float(decomp.eigenvalues[j]), float(abs(corrs[j])))

@@ -68,10 +68,9 @@ class DescriptorDataset:
         indices = np.asarray(indices)
         if indices.size == 0:
             indices = np.empty(0, dtype=np.int64)
+        # Integer-array indexing already returns copies.
         return DescriptorDataset(
-            self.identities[indices].copy(),
-            self.attributes[indices].copy(),
-            self.vectors[indices].copy(),
+            self.identities[indices], self.attributes[indices], self.vectors[indices]
         )
 
 

@@ -33,18 +33,18 @@ def _clamped_log(p):
     return np.log(np.maximum(p, LOG_CLAMP))
 
 
-def _true_class_probs(probs, labels, n_classes_name):
+def _true_class_probs(probs, labels, n_classes_name, stacked=False):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    if probs.ndim != 2:
+    if probs.ndim != 2 and not (stacked and probs.ndim == 3):
         raise DimensionError("probability input must be 2-d")
-    if labels.shape != (probs.shape[0],):
+    if labels.shape != (probs.shape[-2],):
         raise DimensionError("one label per probability row required")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+    if labels.min() < 0 or labels.max() >= probs.shape[-1]:
         raise ValidationError(
-            "label out of range for %d %s" % (probs.shape[1], n_classes_name)
+            "label out of range for %d %s" % (probs.shape[-1], n_classes_name)
         )
-    return probs[np.arange(probs.shape[0]), labels]
+    return probs[..., np.arange(probs.shape[-2]), labels]
 
 
 def l_class(probs, y_id):
@@ -69,20 +69,22 @@ def l_g_member(out, y_g):
     """Binary cross-entropy of one ensemble member against attribute labels.
 
     ``out`` columns are indexed by attribute code, so the probability of
-    the true attribute is a plain row gather.
+    the true attribute is a plain row gather. A stacked ``(k, n, 2)``
+    input holds k members; the value is then the sum of their losses, the
+    ensemble objective that ``l_g`` breaks down per member.
     """
-    p_true = _true_class_probs(out, y_g, "attribute classes")
+    p_true = _true_class_probs(out, y_g, "attribute classes", stacked=True)
     clamped = int(np.count_nonzero(p_true < LOG_CLAMP))
-    value = float(-_clamped_log(p_true).mean())
+    value = float(-_clamped_log(p_true).mean(axis=-1).sum())
     return LossValue(value, {"clamped": float(clamped)})
 
 
 def l_g_member_grad(out, y_g):
     out = np.asarray(out, dtype=np.float64)
-    p_true = _true_class_probs(out, y_g, "attribute classes")
+    p_true = _true_class_probs(out, y_g, "attribute classes", stacked=True)
     d = np.zeros_like(out)
-    d[np.arange(out.shape[0]), y_g] = -1.0 / (
-        out.shape[0] * np.maximum(p_true, LOG_CLAMP)
+    d[..., np.arange(out.shape[-2]), y_g] = -1.0 / (
+        out.shape[-2] * np.maximum(p_true, LOG_CLAMP)
     )
     return d
 

@@ -7,13 +7,21 @@
   softmax over the two attribute units. The sigmoid-then-softmax output is
   implemented literally as specified even though it compresses the logits.
 
+Every parameter container keeps its blocks as named views into one
+contiguous float64 buffer (``flat``) laid out in checkpoint payload order,
+so Adam and checkpoint I/O each work on a single array. An ensemble of k
+discriminators is one buffer, member after member; its ``w1``..``b2`` are
+stacked ``(k, ...)`` views and ``members`` holds per-member views, so the
+discriminator passes run either one member or all k at once.
+
 Forward passes return ``(output, cache)``; the matching backward consumes
-the cache plus an upstream gradient and produces exact analytic gradients
-for the parameters and the layer input. All math is float64. Shapes are
-taken from the parameter arrays, so tests can build small toy nets while
-the factories produce the production sizes.
+the cache plus an upstream gradient and returns exact analytic gradients
+for the parameters and, when asked, the layer input. All math is float64;
+shapes come from the parameter arrays, so tests can use toy sizes.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -30,30 +38,74 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 
-@dataclass
-class GeneratorParams:
-    weight: np.ndarray  # (in_dim, units)
-    bias: np.ndarray  # (units,)
-    prelu_slope: np.ndarray  # (units,)
+class _Params:
+    """Named blocks (``FIELDS``) viewing one contiguous float64 buffer.
+
+    Built from arrays (positionally or by name) the blocks are copied into
+    a fresh buffer; ``_view`` binds the blocks onto an existing buffer.
+    """
+
+    FIELDS = ()
+    STACKED = False  # blocks carry a leading member axis
+
+    def __init__(self, *arrays, **named):
+        named.update(zip(self.FIELDS, arrays))
+        arrays = [np.asarray(named[name], dtype=np.float64) for name in self.FIELDS]
+        self._bind(np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays))
+
+    @classmethod
+    def _view(cls, flat, shapes):
+        obj = cls.__new__(cls)
+        obj._bind(flat, shapes)
+        return obj
+
+    def _bind(self, flat, shapes):
+        self.flat, self.shapes = flat, shapes
+        rows = flat.reshape(-1, sum(math.prod(s) for s in shapes))  # one row per member
+        lead = (len(rows),) if self.STACKED else ()
+        pos = 0
+        for name, shape in zip(self.FIELDS, shapes):
+            size = math.prod(shape)
+            setattr(self, name, rows[:, pos : pos + size].reshape(lead + shape))
+            pos += size
+        if self.STACKED:
+            self.members = [DiscriminatorParams._view(row, shapes) for row in rows]
+
+    def empty_like(self):
+        """Same layout over a new, uninitialized buffer (for gradients)."""
+        return self._view(np.empty_like(self.flat), self.shapes)
 
 
-@dataclass
-class ClassifierParams:
-    weight: np.ndarray  # (units, n_identities)
-    bias: np.ndarray  # (n_identities,)
+class GeneratorParams(_Params):
+    FIELDS = ("weight", "bias", "prelu_slope")  # (in_dim, units), (units,), (units,)
 
 
-@dataclass
-class DiscriminatorParams:
-    w1: np.ndarray  # (units, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, 2)
-    b2: np.ndarray  # (2,)
+class ClassifierParams(_Params):
+    FIELDS = ("weight", "bias")  # (units, n_identities), (n_identities,)
 
 
-@dataclass
-class EnsembleParams:
-    members: list  # of DiscriminatorParams
+class DiscriminatorParams(_Params):
+    FIELDS = ("w1", "b1", "w2", "b2")  # (units, hidden), (hidden,), (hidden, 2), (2,)
+
+
+def _member_shapes(units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
+    return ((units, hidden), (hidden,), (hidden, 2), (2,))
+
+
+class EnsembleParams(_Params):
+    """k discriminators in one member-major buffer.
+
+    ``w1``..``b2`` are stacked ``(k, ...)`` views; ``members`` lists one
+    ``DiscriminatorParams`` view per member. ``shapes`` are per member.
+    """
+
+    FIELDS = DiscriminatorParams.FIELDS
+    STACKED = True
+
+    def __init__(self, members):
+        members = list(members)
+        shapes = members[0].shapes if members else _member_shapes()
+        self._bind(np.concatenate([np.empty(0)] + [m.flat for m in members]), shapes)
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -62,37 +114,25 @@ def _glorot(rng, fan_in, fan_out, shape):
 
 
 def _rng_of(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(ss))
 
 
 def init_generator(in_dim, seed, units=GENERATOR_UNITS):
-    rng = _rng_of(seed)
-    return GeneratorParams(
-        weight=_glorot(rng, in_dim, units, (in_dim, units)),
-        bias=np.zeros(units),
-        prelu_slope=np.full(units, PRELU_INIT_SLOPE),
-    )
+    weight = _glorot(_rng_of(seed), in_dim, units, (in_dim, units))
+    return GeneratorParams(weight, np.zeros(units), np.full(units, PRELU_INIT_SLOPE))
 
 
 def init_classifier(n_identities, seed, units=GENERATOR_UNITS):
-    rng = _rng_of(seed)
-    return ClassifierParams(
-        weight=_glorot(rng, units, n_identities, (units, n_identities)),
-        bias=np.zeros(n_identities),
-    )
+    weight = _glorot(_rng_of(seed), units, n_identities, (units, n_identities))
+    return ClassifierParams(weight, np.zeros(n_identities))
 
 
 def init_discriminator(seed, units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
     rng = _rng_of(seed)
-    return DiscriminatorParams(
-        w1=_glorot(rng, units, hidden, (units, hidden)),
-        b1=np.zeros(hidden),
-        w2=_glorot(rng, hidden, 2, (hidden, 2)),
-        b2=np.zeros(2),
-    )
+    w1 = _glorot(rng, units, hidden, (units, hidden))
+    w2 = _glorot(rng, hidden, 2, (hidden, 2))
+    return DiscriminatorParams(w1, np.zeros(hidden), w2, np.zeros(2))
 
 
 def init_ensemble(k, seed, units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
@@ -105,121 +145,132 @@ def _check_batch(x, expected_cols, who):
     if x.ndim != 2:
         raise DimensionError("%s expects a 2-d batch" % who)
     if x.shape[1] != expected_cols:
-        raise DimensionError(
-            "%s expects %d columns, got %d" % (who, expected_cols, x.shape[1])
-        )
+        raise DimensionError("%s expects %d columns, got %d" % (who, expected_cols, x.shape[1]))
     return x
 
 
+def _check_upstream(cache, output_slot, d_out, who):
+    if cache is None:
+        raise StateError("%s called without a cached forward pass" % who)
+    d_out = np.asarray(d_out, dtype=np.float64)
+    if d_out.shape != cache[output_slot].shape:
+        raise DimensionError("upstream gradient shape %s != forward output %s"
+                             % (d_out.shape, cache[output_slot].shape))
+    return d_out
+
+
+def _t(a):
+    """Transpose of the last two axes (a matrix or a stack of matrices)."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _softmax_rows(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=1, keepdims=True)
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    return ez / ez.sum(axis=-1, keepdims=True)
 
 
 def _softmax_backward(probs, d_probs):
     # dL/dz_j = p_j * (g_j - sum_i g_i p_i) for row-wise softmax.
-    inner = (d_probs * probs).sum(axis=1, keepdims=True)
+    inner = (d_probs * probs).sum(axis=-1, keepdims=True)
     return probs * (d_probs - inner)
+
+
+def _select(mask, other):
+    """1.0 where ``mask`` holds, ``other`` (finite) elsewhere.
+
+    Exact, and branch-free: ``np.where`` on a random mask costs several
+    times more than these four passes.
+    """
+    on = mask.astype(np.float64)
+    return on + (1.0 - on) * other
 
 
 def generator_forward(params, x):
     """PReLU(x @ W + b); returns (batch x units, cache)."""
     x = _check_batch(x, params.weight.shape[0], "generator_forward")
     z = x @ params.weight + params.bias
-    neg = z < 0.0
-    out = np.where(neg, z * params.prelu_slope, z)
-    return out, (x, z, neg)
+    z_neg = np.minimum(z, 0.0)
+    # max(z, 0) + slope min(z, 0) is exactly z where z >= 0, slope z below.
+    out = np.maximum(z, 0.0) + z_neg * params.prelu_slope
+    return out, (x, z_neg)
 
 
-def generator_backward(params, cache, d_out):
-    if cache is None:
-        raise StateError("generator_backward called without a cached forward pass")
-    x, z, neg = cache
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.shape != z.shape:
-        raise DimensionError("upstream gradient shape %s != forward output %s" % (d_out.shape, z.shape))
-    d_z = np.where(neg, d_out * params.prelu_slope, d_out)
-    d_slope = np.where(neg, d_out * z, 0.0).sum(axis=0)
-    grads = GeneratorParams(
-        weight=x.T @ d_z,
-        bias=d_z.sum(axis=0),
-        prelu_slope=d_slope,
-    )
-    return grads, d_z @ params.weight.T
+def generator_backward(params, cache, d_out, input_grad=True):
+    """Parameter gradients, plus the input gradient when ``input_grad``."""
+    d_out = _check_upstream(cache, 1, d_out, "generator_backward")
+    x, z_neg = cache
+    d_z = d_out * _select(z_neg == 0.0, params.prelu_slope)
+    grads = params.empty_like()
+    np.matmul(x.T, d_z, out=grads.weight)
+    d_z.sum(axis=0, out=grads.bias)
+    (d_out * z_neg).sum(axis=0, out=grads.prelu_slope)
+    return grads, (d_z @ params.weight.T if input_grad else None)
 
 
 def classifier_forward(params, f_out):
     """softmax(f @ W + b) with max-subtraction; rows sum to 1."""
     f_out = _check_batch(f_out, params.weight.shape[0], "classifier_forward")
-    logits = f_out @ params.weight + params.bias
-    probs = _softmax_rows(logits)
+    probs = _softmax_rows(f_out @ params.weight + params.bias)
     return probs, (f_out, probs)
 
 
 def classifier_backward(params, cache, d_probs):
-    if cache is None:
-        raise StateError("classifier_backward called without a cached forward pass")
+    d_probs = _check_upstream(cache, 1, d_probs, "classifier_backward")
     f_out, probs = cache
-    d_probs = np.asarray(d_probs, dtype=np.float64)
-    if d_probs.shape != probs.shape:
-        raise DimensionError("upstream gradient shape mismatch")
     d_logits = _softmax_backward(probs, d_probs)
-    grads = ClassifierParams(
-        weight=f_out.T @ d_logits,
-        bias=d_logits.sum(axis=0),
-    )
+    grads = params.empty_like()
+    np.matmul(f_out.T, d_logits, out=grads.weight)
+    d_logits.sum(axis=0, out=grads.bias)
     return grads, d_logits @ params.weight.T
-
-
-def _selu(z):
-    return SELU_LAMBDA * np.where(z > 0.0, z, SELU_ALPHA * (np.exp(z) - 1.0))
 
 
 def discriminator_forward(params, f_out):
     """SELU hidden layer, sigmoid output pair, softmax across the pair.
 
     Column ``a`` of the result is the predicted probability of attribute
-    code ``a`` (0 = female, 1 = male); rows sum to 1.
+    code ``a`` (0 = female, 1 = male); rows sum to 1. With an
+    ``EnsembleParams`` the result is stacked, ``(k, batch, 2)``.
     """
-    f_out = _check_batch(f_out, params.w1.shape[0], "discriminator_forward")
-    z1 = f_out @ params.w1 + params.b1
-    h = _selu(z1)
-    z2 = h @ params.w2 + params.b2
+    f_out = _check_batch(f_out, params.w1.shape[-2], "discriminator_forward")
+    z1 = f_out @ params.w1 + params.b1[..., None, :]
+    ez1 = np.exp(np.minimum(z1, 0.0))  # the backward pass reuses it
+    # max(z, 0) + alpha (exp(min(z, 0)) - 1) is exactly z where z > 0.
+    h = SELU_LAMBDA * (np.maximum(z1, 0.0) + SELU_ALPHA * (ez1 - 1.0))
+    z2 = h @ params.w2 + params.b2[..., None, :]
     u = 1.0 / (1.0 + np.exp(-z2))
     out = _softmax_rows(u)
-    return out, (f_out, z1, h, u, out)
+    return out, (f_out, z1, ez1, h, u, out)
 
 
-def discriminator_backward(params, cache, d_out):
-    if cache is None:
-        raise StateError("discriminator_backward called without a cached forward pass")
-    f_out, z1, h, u, out = cache
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.shape != out.shape:
-        raise DimensionError("upstream gradient shape mismatch")
+def member_cache(cache, i):
+    """Member ``i``'s slice of a stacked discriminator forward cache."""
+    return cache[:1] + tuple(part[i] for part in cache[1:])
+
+
+def discriminator_backward(params, cache, d_out, input_grad=True, param_grad=True):
+    """Gradients for the parameters and the input, each only when asked
+    (the other slot of the returned pair is then None)."""
+    d_out = _check_upstream(cache, 5, d_out, "discriminator_backward")
+    f_out, z1, ez1, h, u, out = cache
     d_u = _softmax_backward(out, d_out)
     d_z2 = d_u * u * (1.0 - u)
-    d_h = d_z2 @ params.w2.T
-    d_z1 = d_h * SELU_LAMBDA * np.where(z1 > 0.0, 1.0, SELU_ALPHA * np.exp(z1))
-    grads = DiscriminatorParams(
-        w1=f_out.T @ d_z1,
-        b1=d_z1.sum(axis=0),
-        w2=h.T @ d_z2,
-        b2=d_z2.sum(axis=0),
-    )
-    return grads, d_z1 @ params.w1.T
+    d_h = d_z2 @ _t(params.w2)
+    d_z1 = d_h * SELU_LAMBDA * _select(z1 > 0.0, SELU_ALPHA * ez1)
+    grads = None
+    if param_grad:
+        grads = params.empty_like()
+        np.matmul(f_out.T, d_z1, out=grads.w1)
+        d_z1.sum(axis=-2, out=grads.b1)
+        np.matmul(_t(h), d_z2, out=grads.w2)
+        d_z2.sum(axis=-2, out=grads.b2)
+    return grads, (d_z1 @ _t(params.w1) if input_grad else None)
 
 
 def param_items(params):
     """(name, array) pairs for one parameter block, in declaration order."""
-    if isinstance(params, GeneratorParams):
-        return [("weight", params.weight), ("bias", params.bias), ("prelu_slope", params.prelu_slope)]
-    if isinstance(params, ClassifierParams):
-        return [("weight", params.weight), ("bias", params.bias)]
-    if isinstance(params, DiscriminatorParams):
-        return [("w1", params.w1), ("b1", params.b1), ("w2", params.w2), ("b2", params.b2)]
-    raise TypeError("unsupported parameter container %r" % type(params).__name__)
+    if not isinstance(params, _Params):
+        raise TypeError("unsupported parameter container %r" % type(params).__name__)
+    return [(name, getattr(params, name)) for name in params.FIELDS]
 
 
 @dataclass
@@ -227,7 +278,8 @@ class AdamState:
     """Adam accumulators for one parameter container.
 
     The update is ``p -= lr * m_hat / sqrt(v_hat + eps)`` — epsilon sits
-    inside the square root.
+    inside the square root. ``buffers`` holds m, v and two scratch rows,
+    each the size of the container's flat buffer, from the first step on.
     """
 
     lr: float
@@ -235,14 +287,7 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = None
-    v: dict = None
-
-    def __post_init__(self):
-        if self.m is None:
-            self.m = {}
-        if self.v is None:
-            self.v = {}
+    buffers: np.ndarray = None
 
 
 def adam_step(state, params, grads):
@@ -252,17 +297,25 @@ def adam_step(state, params, grads):
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     for (name, p), (_, g) in zip(param_items(params), param_items(grads)):
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in parameter block %r" % name)
         if p.shape != g.shape:
             raise DimensionError("gradient shape mismatch for block %r" % name)
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / np.sqrt(v / bc2 + state.eps)
+    p, g = params.flat, grads.flat
+    if not np.isfinite(g).all():
+        name = next(n for n, a in param_items(grads) if not np.isfinite(a).all())
+        raise NumericError("non-finite gradient in parameter block %r" % name)
+    if state.buffers is None:
+        state.buffers = np.zeros((4, p.size))
+    m, v, s, r = state.buffers
+    # In place, with the operations and their order of the textbook form
+    # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+    # p -= lr (m / bc1) / sqrt(v / bc2 + eps).
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=s)
+    v *= state.beta2
+    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=s), g, out=s)
+    np.multiply(np.divide(m, bc1, out=s), state.lr, out=s)
+    np.sqrt(np.add(np.divide(v, bc2, out=r), state.eps, out=r), out=r)
+    p -= np.divide(s, r, out=s)
     return params, state
 
 
@@ -274,23 +327,21 @@ _CKPT_HEADER = struct.Struct("<4sIIIIII")
 def save_checkpoint(path, generator, classifier, ensemble):
     """Write all trained parameter blocks; float64 little-endian payload."""
     in_dim, units = generator.weight.shape
-    n_identities = classifier.weight.shape[1]
-    hidden = ensemble.members[0].w1.shape[1] if ensemble.members else DISCRIMINATOR_HIDDEN
-    blocks = [generator, classifier] + list(ensemble.members)
+    header = _CKPT_HEADER.pack(
+        CKPT_MAGIC, CKPT_VERSION, in_dim, units, classifier.weight.shape[1],
+        len(ensemble.members), ensemble.shapes[0][1],
+    )
+    payload = np.concatenate([generator.flat, classifier.flat, ensemble.flat])
     with open(path, "wb") as fh:
-        fh.write(
-            _CKPT_HEADER.pack(
-                CKPT_MAGIC, CKPT_VERSION, in_dim, units, n_identities,
-                len(ensemble.members), hidden,
-            )
-        )
-        for block in blocks:
-            for _, arr in param_items(block):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(header + payload.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (generator, classifier, ensemble)."""
+    """Read a checkpoint back into (generator, classifier, ensemble).
+
+    The header's sizes are checked against the file size before anything
+    is allocated; the three containers view one buffer.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_CKPT_HEADER.size)
         if len(head) < _CKPT_HEADER.size:
@@ -300,27 +351,20 @@ def load_checkpoint(path):
             raise DataFormatError("bad_magic", "bad checkpoint magic %r" % magic)
         if version != CKPT_VERSION:
             raise DataFormatError("version", "unsupported checkpoint version %d" % version)
-        payload = fh.read()
-    shapes = [(in_dim, units), (units,), (units,), (units, n_identities), (n_identities,)]
-    for _ in range(k):
-        shapes += [(units, hidden), (hidden,), (hidden, 2), (2,)]
-    expected = sum(int(np.prod(s)) for s in shapes) * 8
-    if len(payload) != expected:
-        raise DataFormatError(
-            "truncated",
-            "checkpoint payload: expected %d bytes, got %d" % (expected, len(payload)),
-        )
-    flat = np.frombuffer(payload, dtype="<f8")
-    arrays = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[pos : pos + size].reshape(shape).copy())
-        pos += size
-    generator = GeneratorParams(arrays[0], arrays[1], arrays[2])
-    classifier = ClassifierParams(arrays[3], arrays[4])
-    members = []
-    for i in range(k):
-        base = 5 + 4 * i
-        members.append(DiscriminatorParams(*arrays[base : base + 4]))
-    return generator, classifier, EnsembleParams(members)
+        if min(in_dim, units, n_identities, hidden) < 1:
+            raise DataFormatError("truncated", "checkpoint header declares a zero dimension")
+        shapes = (((in_dim, units), (units,), (units,)), ((units, n_identities), (n_identities,)),
+                  _member_shapes(units, hidden))
+        g_size, c_size, m_size = (sum(math.prod(s) for s in group) for group in shapes)
+        expected = (g_size + c_size + k * m_size) * 8
+        got = os.fstat(fh.fileno()).st_size - _CKPT_HEADER.size
+        if got != expected:
+            raise DataFormatError("truncated", "checkpoint payload: expected %d bytes, got %d"
+                                  % (expected, got))
+        flat = np.frombuffer(fh.read(expected), dtype="<f8").astype(np.float64)
+    c_end = g_size + c_size
+    return (
+        GeneratorParams._view(flat[:g_size], shapes[0]),
+        ClassifierParams._view(flat[g_size:c_end], shapes[1]),
+        EnsembleParams._view(flat[c_end:], shapes[2]),
+    )

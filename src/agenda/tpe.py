@@ -73,13 +73,22 @@ def triplet_loss(w, a, p, n):
     return float(np.logaddexp(0.0, d).mean())
 
 
-def init_matrix(dataset, seed, embed_dim=EMBED_DIM):
-    """Top principal directions as columns; seeded small noise pads the rest."""
+def principal_axes(dataset):
+    """Eigendecomposition of the descriptor covariance (the warm start's source)."""
+    cov, _ = covariance(dataset.vectors)
+    return eigh(cov)
+
+
+def init_matrix(dataset, seed, embed_dim=EMBED_DIM, decomp=None):
+    """Top principal directions as columns; seeded small noise pads the rest.
+
+    ``decomp`` is ``principal_axes(dataset)``, computed here when omitted.
+    """
     rng = np.random.Generator(np.random.Philox(
         seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     ))
-    cov, _ = covariance(dataset.vectors)
-    decomp = eigh(cov)
+    if decomp is None:
+        decomp = principal_axes(dataset)
     keep = min(dataset.dim, embed_dim)
     w = np.zeros((dataset.dim, embed_dim))
     w[:, :keep] = decomp.eigenvectors[:keep].T
@@ -91,14 +100,17 @@ def init_matrix(dataset, seed, embed_dim=EMBED_DIM):
 
 
 def tpe_train_single(dataset, iterations=DEFAULT_ITERATIONS, rate=DEFAULT_RATE,
-                     batch=DEFAULT_BATCH, seed=0):
-    """One SGD run from the PCA warm start; fully determined by ``seed``."""
+                     batch=DEFAULT_BATCH, seed=0, decomp=None):
+    """One SGD run from the PCA warm start; fully determined by ``seed``.
+
+    ``decomp`` passes a shared ``principal_axes(dataset)`` to ``init_matrix``.
+    """
     if iterations < 0 or batch < 1 or rate <= 0:
         raise ValidationError("iterations >= 0, batch >= 1 and rate > 0 required")
     sampler = _TripletSampler(dataset)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     ss_init, ss_triplets = ss.spawn(2)
-    w = init_matrix(dataset, ss_init)
+    w = init_matrix(dataset, ss_init, decomp=decomp)
     rng = np.random.Generator(np.random.Philox(ss_triplets))
     x = dataset.vectors
     for _ in range(iterations):
@@ -116,13 +128,15 @@ def tpe_train_single(dataset, iterations=DEFAULT_ITERATIONS, rate=DEFAULT_RATE,
 
 def tpe_train(dataset, repeats=DEFAULT_REPEATS, iterations=DEFAULT_ITERATIONS,
               rate=DEFAULT_RATE, batch=DEFAULT_BATCH, seed=0):
-    """Average of ``repeats`` independent runs seeded by spawn keys (0,)..(r-1,)."""
+    """Average of ``repeats`` independent runs seeded by spawn keys (0,)..(r-1,);
+    they share one covariance decomposition."""
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    decomp = principal_axes(dataset)
     total = np.zeros((dataset.dim, EMBED_DIM))
     for r in range(repeats):
         child = np.random.SeedSequence(seed, spawn_key=(r,))
-        total += tpe_train_single(dataset, iterations, rate, batch, child)
+        total += tpe_train_single(dataset, iterations, rate, batch, child, decomp)
     return total / repeats
 
 

@@ -20,6 +20,8 @@ by (episode, stage) so ablations with the same seed consume identical
 batches in matching stages. Adam state is fresh at each stage entry.
 """
 
+import collections
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -39,7 +41,7 @@ from .errors import NumericError, ValidationError
 
 # Spawn-key namespaces under the run seed.
 NS_INIT_MC = 0  # generator + classifier initialization
-NS_INIT_E = 1  # (NS_INIT_E, reinit_counter) per ensemble re-initialization
+NS_INIT_E = 1  # (NS_INIT_E, episode // t_ep) per ensemble re-initialization
 NS_BATCHES = 2  # (NS_BATCHES, episode, stage) per batch stream
 NS_SPLIT = 3  # validation split
 
@@ -76,16 +78,12 @@ class TrainConfig:
         return self.k if self.t_ep is None else self.t_ep
 
     def validate(self):
-        counts = {
-            "k": self.k, "t_fc": self.t_fc, "t_gtrain": self.t_gtrain,
-            "t_deb": self.t_deb, "t_plat": self.t_plat,
-            "t_ep": self.resolved_t_ep(), "n_ep": self.n_ep,
-        }
-        for name, value in counts.items():
+        for name in ("k", "t_fc", "t_gtrain", "t_deb", "t_plat", "t_ep", "n_ep"):
+            value = self.resolved_t_ep() if name == "t_ep" else getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValidationError("%s must be an integer >= 1, got %r" % (name, value))
-        for name, rate in (("alpha1", self.alpha1), ("alpha2", self.alpha2), ("alpha3", self.alpha3)):
-            if not rate > 0:
+        for name in ("alpha1", "alpha2", "alpha3"):
+            if not getattr(self, name) > 0:
                 raise ValidationError("%s must be > 0" % name)
         if self.lam < 0:
             raise ValidationError("lam must be >= 0")
@@ -97,38 +95,17 @@ class TrainConfig:
             raise ValidationError("validation_fraction must be in (0, 1)")
 
     @classmethod
-    def field_types(cls):
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        types["t_ep"] = int
-        return types
-
-    @classmethod
     def from_file(cls, path):
-        return cls(**coerce_kv(read_kv_config(path), cls.field_types()))
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        return cls(**coerce_kv(read_kv_config(path), types))
 
     def to_kv(self):
-        pairs = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "t_ep":
-                value = self.resolved_t_ep()
-            pairs.append((f.name, value))
-        return pairs
-
-
-@dataclass
-class LogRecord:
-    episode: int
-    stage: int
-    iteration: int
-    l_class: float = None
-    l_deb: float = None
-    l_br: float = None
-    member_k: int = None
-    val_acc: float = None
+        return [(f.name, self.resolved_t_ep() if f.name == "t_ep" else getattr(self, f.name))
+                for f in dataclasses.fields(self)]
 
 
 CSV_COLUMNS = ("episode", "stage", "iteration", "l_class", "l_deb", "l_br", "member_k", "val_acc")
+LogRecord = collections.namedtuple("LogRecord", CSV_COLUMNS, defaults=(None,) * 5)
 
 
 @dataclass
@@ -143,13 +120,9 @@ class TrainLog:
         return [(r.episode, r.stage, r.member_k) for r in self.records]
 
     def rows(self):
+        """CSV cells: integers as they are, floats round-trip, None empty."""
         for r in self.records:
-            yield (
-                r.episode, r.stage, r.iteration,
-                format_float(r.l_class), format_float(r.l_deb), format_float(r.l_br),
-                "" if r.member_k is None else r.member_k,
-                format_float(r.val_acc),
-            )
+            yield tuple(v if isinstance(v, (int, np.integer)) else format_float(v) for v in r)
 
     def write_csv(self, path, comments=()):
         write_csv_report(path, comments, CSV_COLUMNS, self.rows())
@@ -175,31 +148,75 @@ def balanced_batches(dataset, batch_size, seed):
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     while True:
         rng = np.random.Generator(np.random.Philox(ss.spawn(1)[0]))
-        shuffled1 = rng.permutation(pool1)
-        shuffled0 = rng.permutation(pool0)
+        pools = [(pool, rng.permutation(pool)) for pool in (pool1, pool0)]
         for b in range(per_epoch):
             batch = []
-            for pool, shuffled in ((pool1, shuffled1), (pool0, shuffled0)):
+            for pool, shuffled in pools:
                 take = shuffled[b * half : (b + 1) * half]
                 if len(take) < half:
-                    take = np.concatenate(
-                        [take, rng.choice(pool, size=half - len(take), replace=True)]
-                    )
+                    refill = rng.choice(pool, size=half - len(take), replace=True)
+                    take = np.concatenate([take, refill])
                 batch.append(take)
             yield np.concatenate(batch)
 
 
 def _check_finite(value, stage, episode, iteration):
     if not np.isfinite(value):
-        raise NumericError(
-            "non-finite loss (%r) at stage %d, episode %d, iteration %d"
-            % (value, stage, episode, iteration)
+        raise NumericError("non-finite loss (%r) at stage %d, episode %d, iteration %d"
+                           % (value, stage, episode, iteration))
+
+
+GENERATOR_CHUNK = 1024  # rows per generator call in whole-split passes
+
+
+def _generate(gen, vectors, chunk=GENERATOR_CHUNK):
+    """Generator output for every row, computed ``chunk`` rows at a time so
+    the temporaries stay small; rows do not depend on the chunking."""
+    out = np.empty((len(vectors), gen.weight.shape[1]))
+    for start in range(0, len(vectors), chunk):
+        out[start : start + chunk], _ = nets.generator_forward(gen, vectors[start : start + chunk])
+    return out
+
+
+def _class_step(gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=None, lam=0.0):
+    """One generator + classifier update (stage 1, or stage 3 with the
+    frozen ``ensemble``); returns the fields of the iteration's log row."""
+    f_out, gcache = nets.generator_forward(gen, x)
+    probs, ccache = nets.classifier_forward(cls, f_out)
+    lc = losses.l_class(probs, y_id)
+    row = dict(l_class=lc.value)
+    if ensemble is None:
+        _check_finite(lc.value, *where)
+    else:
+        outs, dcache = nets.discriminator_forward(ensemble, f_out)  # all k at once
+        ld, kstar = losses.l_deb([losses.l_a(out) for out in outs])
+        lbr = losses.l_br(lc, ld, lam)
+        _check_finite(lbr.value, *where)
+        row.update(l_deb=ld.value, l_br=lbr.value, member_k=kstar)
+    cgrads, d_f = nets.classifier_backward(cls, ccache, losses.l_class_grad(probs, y_id))
+    if ensemble is not None and lam > 0:
+        # Ensemble weights stay frozen; only the input gradient of the
+        # strongest member's confusion term reaches the generator.
+        _, d_f_deb = nets.discriminator_backward(
+            ensemble.members[kstar], nets.member_cache(dcache, kstar),
+            lam * losses.l_a_grad(outs[kstar]), param_grad=False,
         )
+        d_f = d_f + d_f_deb
+    ggrads, _ = nets.generator_backward(gen, gcache, d_f, input_grad=False)
+    nets.adam_step(adam_gen, gen, ggrads)
+    nets.adam_step(adam_cls, cls, cgrads)
+    return row
 
 
-def _call_hook(hook, event, episode, stage, gen, cls, ensemble):
-    if hook is not None:
-        hook(event, episode, stage, gen, cls, ensemble)
+def _discriminator_step(disc, adam, f_out, y_g, where):
+    """One attribute-loss update of one member (stage 4) or of the stacked
+    ensemble (stage 2); generator and classifier stay frozen."""
+    out, dcache = nets.discriminator_forward(disc, f_out)
+    _check_finite(losses.l_g_member(out, y_g).value, *where)
+    grads, _ = nets.discriminator_backward(
+        disc, dcache, losses.l_g_member_grad(out, y_g), input_grad=False
+    )
+    nets.adam_step(adam, disc, grads)
 
 
 def train(dataset, config, stage_hook=None):
@@ -215,10 +232,8 @@ def train(dataset, config, stage_hook=None):
     if len(np.unique(dataset.attributes)) < 2:
         raise ValidationError("training needs both attribute values")
 
-    train_idx, val_idx = split_by_identity(
-        dataset, config.validation_fraction,
-        np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,)),
-    )
+    ss_split = np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,))
+    train_idx, val_idx = split_by_identity(dataset, config.validation_fraction, ss_split)
     train_ds = dataset.subset(train_idx)
     val_ds = dataset.subset(val_idx)
     if len(np.unique(train_ds.identities)) < 2 or len(np.unique(train_ds.attributes)) < 2:
@@ -230,140 +245,80 @@ def train(dataset, config, stage_hook=None):
     val_attrs = val_ds.attributes.astype(np.int64)
 
     t_ep = config.resolved_t_ep()
-    init_mc = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,))
-    ss_gen, ss_cls = init_mc.spawn(2)
+    ss_gen, ss_cls = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,)).spawn(2)
     gen = nets.init_generator(train_ds.dim, ss_gen)
     cls = nets.init_classifier(len(class_ids), ss_cls)
     ensemble = nets.EnsembleParams([])
     log = TrainLog()
-    reinit_counter = 0
+    f_train = None  # generator output over the split while the generator is frozen
 
-    def batches_for(episode, stage):
+    @contextlib.contextmanager
+    def stage_span(episode, stage):
+        """Hook calls around one stage; yields the stage's batch stream."""
+        if stage_hook is not None:
+            stage_hook("start", episode, stage, gen, cls, ensemble)
         ss = np.random.SeedSequence(config.seed, spawn_key=(NS_BATCHES, episode, stage))
-        return balanced_batches(train_ds, config.batch_size, ss)
+        yield balanced_batches(train_ds, config.batch_size, ss)
+        if stage_hook is not None:
+            stage_hook("end", episode, stage, gen, cls, ensemble)
+
+    def frozen_rows(idx):
+        # One pass per generator state; stage 4 and the next stage 2 share it.
+        nonlocal f_train
+        if f_train is None:
+            f_train = _generate(gen, train_ds.vectors)
+        return f_train[idx]
+
+    def class_stage(episode, stage, steps, lr, **deb):
+        nonlocal f_train
+        f_train = None  # the generator is about to move
+        adam_gen, adam_cls = nets.AdamState(lr=lr), nets.AdamState(lr=lr)
+        with stage_span(episode, stage) as stream:
+            for n in range(steps):
+                idx = next(stream)
+                row = _class_step(gen, cls, adam_gen, adam_cls, train_ds.vectors[idx],
+                                  y_id_all[idx], (stage, episode, n), **deb)
+                log.append(episode=episode, stage=stage, iteration=n, **row)
 
     for episode in range(config.n_ep):
         if episode == 0:
-            _call_hook(stage_hook, "start", episode, 1, gen, cls, ensemble)
-            adam_gen = nets.AdamState(lr=config.alpha1)
-            adam_cls = nets.AdamState(lr=config.alpha1)
-            stream = batches_for(episode, 1)
-            for n in range(config.t_fc):
-                idx = next(stream)
-                x, y_id = train_ds.vectors[idx], y_id_all[idx]
-                f_out, gcache = nets.generator_forward(gen, x)
-                probs, ccache = nets.classifier_forward(cls, f_out)
-                lc = losses.l_class(probs, y_id)
-                _check_finite(lc.value, 1, episode, n)
-                cgrads, d_f = nets.classifier_backward(
-                    cls, ccache, losses.l_class_grad(probs, y_id)
-                )
-                ggrads, _ = nets.generator_backward(gen, gcache, d_f)
-                nets.adam_step(adam_gen, gen, ggrads)
-                nets.adam_step(adam_cls, cls, cgrads)
-                log.append(episode=episode, stage=1, iteration=n, l_class=lc.value)
-            _call_hook(stage_hook, "end", episode, 1, gen, cls, ensemble)
+            class_stage(episode, 1, config.t_fc, config.alpha1)
 
         if episode % t_ep == 0:
-            _call_hook(stage_hook, "start", episode, 2, gen, cls, ensemble)
-            ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, reinit_counter))
-            reinit_counter += 1
-            fresh = nets.init_ensemble(config.k, ss_e, units=gen.weight.shape[1])
-            ensemble.members = fresh.members
-            adams = [nets.AdamState(lr=config.alpha2) for _ in range(config.k)]
-            stream = batches_for(episode, 2)
-            for n in range(config.t_gtrain):
-                idx = next(stream)
-                x, y_g = train_ds.vectors[idx], y_g_all[idx]
-                f_out, _ = nets.generator_forward(gen, x)
-                for member, adam in zip(ensemble.members, adams):
-                    out, dcache = nets.discriminator_forward(member, f_out)
-                    lg = losses.l_g_member(out, y_g)
-                    _check_finite(lg.value, 2, episode, n)
-                    mgrads, _ = nets.discriminator_backward(
-                        member, dcache, losses.l_g_member_grad(out, y_g)
-                    )
-                    nets.adam_step(adam, member, mgrads)
-                log.append(episode=episode, stage=2, iteration=n)
-            _call_hook(stage_hook, "end", episode, 2, gen, cls, ensemble)
+            with stage_span(episode, 2) as stream:
+                ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, episode // t_ep))
+                ensemble = nets.init_ensemble(config.k, ss_e, units=gen.weight.shape[1])
+                adam = nets.AdamState(lr=config.alpha2)  # one state for the whole stack
+                for n in range(config.t_gtrain):
+                    idx = next(stream)
+                    _discriminator_step(ensemble, adam, frozen_rows(idx), y_g_all[idx],
+                                        (2, episode, n))
+                    log.append(episode=episode, stage=2, iteration=n)
 
-        _call_hook(stage_hook, "start", episode, 3, gen, cls, ensemble)
-        adam_gen = nets.AdamState(lr=config.alpha3)
-        adam_cls = nets.AdamState(lr=config.alpha3)
-        stream = batches_for(episode, 3)
-        for n in range(config.t_deb):
-            idx = next(stream)
-            x, y_id = train_ds.vectors[idx], y_id_all[idx]
-            f_out, gcache = nets.generator_forward(gen, x)
-            probs, ccache = nets.classifier_forward(cls, f_out)
-            lc = losses.l_class(probs, y_id)
-            member_outs = [nets.discriminator_forward(m, f_out) for m in ensemble.members]
-            la_values = [losses.l_a(out) for out, _ in member_outs]
-            ld, kstar = losses.l_deb(la_values)
-            lbr = losses.l_br(lc, ld, config.lam)
-            _check_finite(lbr.value, 3, episode, n)
-            cgrads, d_f = nets.classifier_backward(
-                cls, ccache, losses.l_class_grad(probs, y_id)
-            )
-            if config.lam > 0:
-                out_k, dcache_k = member_outs[kstar]
-                # Ensemble weights stay frozen; only the input gradient of
-                # the strongest member's confusion term reaches the generator.
-                _, d_f_deb = nets.discriminator_backward(
-                    ensemble.members[kstar], dcache_k,
-                    config.lam * losses.l_a_grad(out_k),
-                )
-                d_f = d_f + d_f_deb
-            ggrads, _ = nets.generator_backward(gen, gcache, d_f)
-            nets.adam_step(adam_gen, gen, ggrads)
-            nets.adam_step(adam_cls, cls, cgrads)
-            log.append(
-                episode=episode, stage=3, iteration=n,
-                l_class=lc.value, l_deb=ld.value, l_br=lbr.value, member_k=kstar,
-            )
-        _call_hook(stage_hook, "end", episode, 3, gen, cls, ensemble)
+        class_stage(episode, 3, config.t_deb, config.alpha3, ensemble=ensemble, lam=config.lam)
 
         k = episode % config.k
         member = ensemble.members[k]
-        _call_hook(stage_hook, "start", episode, 4, gen, cls, ensemble)
-        adam = nets.AdamState(lr=config.alpha2)
-        stream = batches_for(episode, 4)
-        f_val, _ = nets.generator_forward(gen, val_ds.vectors)  # generator frozen here
-        for n in range(config.t_plat):
-            val_out, _ = nets.discriminator_forward(member, f_val)
-            acc = float(np.mean(np.argmax(val_out, axis=1) == val_attrs))
-            log.append(episode=episode, stage=4, iteration=n, member_k=k, val_acc=acc)
-            if acc > config.g_thresh:
-                break
-            idx = next(stream)
-            x, y_g = train_ds.vectors[idx], y_g_all[idx]
-            f_out, _ = nets.generator_forward(gen, x)
-            out, dcache = nets.discriminator_forward(member, f_out)
-            lg = losses.l_g_member(out, y_g)
-            _check_finite(lg.value, 4, episode, n)
-            mgrads, _ = nets.discriminator_backward(
-                member, dcache, losses.l_g_member_grad(out, y_g)
-            )
-            nets.adam_step(adam, member, mgrads)
-        _call_hook(stage_hook, "end", episode, 4, gen, cls, ensemble)
+        with stage_span(episode, 4) as stream:
+            adam = nets.AdamState(lr=config.alpha2)
+            f_val = _generate(gen, val_ds.vectors)
+            for n in range(config.t_plat):
+                val_out, _ = nets.discriminator_forward(member, f_val)
+                acc = float(np.mean(np.argmax(val_out, axis=1) == val_attrs))
+                log.append(episode=episode, stage=4, iteration=n, member_k=k, val_acc=acc)
+                if acc > config.g_thresh:
+                    break
+                idx = next(stream)
+                _discriminator_step(member, adam, frozen_rows(idx), y_g_all[idx],
+                                    (4, episode, n))
 
     return gen, cls, ensemble, log
 
 
-def transform(gen, dataset, chunk=65536):
+def transform(gen, dataset, chunk=GENERATOR_CHUNK):
     """Re-embed every record through the generator; labels pass through."""
     if dataset.dim != gen.weight.shape[0]:
-        raise ValidationError(
-            "dataset dim %d does not match generator input dim %d"
-            % (dataset.dim, gen.weight.shape[0])
-        )
-    pieces = []
-    for start in range(0, dataset.n, chunk):
-        block = dataset.vectors[start : start + chunk]
-        out, _ = nets.generator_forward(gen, block)
-        pieces.append(out)
-    return DescriptorDataset(
-        dataset.identities.copy(),
-        dataset.attributes.copy(),
-        np.concatenate(pieces) if pieces else np.empty((0, gen.weight.shape[1])),
-    )
+        raise ValidationError("dataset dim %d does not match generator input dim %d"
+                              % (dataset.dim, gen.weight.shape[0]))
+    return DescriptorDataset(dataset.identities.copy(), dataset.attributes.copy(),
+                             _generate(gen, dataset.vectors, chunk))

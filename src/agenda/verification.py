@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import format_float, write_csv_report
-from .errors import DimensionError, ValidationError
+from .errors import DataFormatError, DimensionError, ValidationError
 
 GROUP_NAMES = {0: "female", 1: "male"}
 DEFAULT_FPRS = (1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_IMPOSTOR_RATIO = 2.0
+# Pairs scored per step: the two gathered row blocks stay at
+# 2 x SCORE_CHUNK x dim floats whatever the protocol size.
+SCORE_CHUNK = 16384
 THRESHOLD_RULE = (
     "threshold = smallest score with impostor-fraction-strictly-above <= target; "
     "no interpolation"
@@ -115,7 +118,10 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
 
 def read_pairs_csv(path, dataset):
     """Load ``index_a,index_b,genuine`` rows; groups come from the dataset."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise DataFormatError("bad_value", "pair protocol %s: %s" % (path, exc))
     if raw.size == 0:
         raise ValidationError("pair protocol file %s is empty" % path)
     if raw.shape[1] != 3:
@@ -146,7 +152,12 @@ def score_pairs(dataset, protocol):
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     unit = dataset.vectors / safe[:, None]
-    scores = np.einsum("ij,ij->i", unit[protocol.index_a], unit[protocol.index_b])
+    scores = np.empty(protocol.n)
+    for start in range(0, protocol.n, SCORE_CHUNK):
+        chunk = slice(start, start + SCORE_CHUNK)
+        scores[chunk] = np.einsum(
+            "ij,ij->i", unit[protocol.index_a[chunk]], unit[protocol.index_b[chunk]]
+        )
     bad = zero[protocol.index_a] | zero[protocol.index_b]
     scores[bad] = -1.0
     return scores, int(bad.sum())

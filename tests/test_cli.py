@@ -154,6 +154,20 @@ class TestPipeline:
         assert code in (0, 4)
 
 
+    def test_eval_pairs_with_non_integer_cell_is_3(self, tmp_path):
+        spec = write_tiny_spec(tmp_path / "s.cfg")
+        corpus = tmp_path / "c.fds"
+        run_cli("synth", "--spec", spec, "--out", corpus)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("index_a,index_b,genuine\n0,1,1\n2,x,0\n")
+        code, _, err = run_cli(
+            "eval", "--data", corpus, "--pairs", pairs, "--report", tmp_path / "r.csv",
+        )
+        assert code == 3
+        assert err.strip().count("\n") == 0
+        assert "kind=bad_value" in err and "Traceback" not in err
+
+
 class TestCorrPcaCli:
     def test_fit_apply_round_trip(self, tmp_path):
         spec = write_tiny_spec(tmp_path / "s.cfg", attribute_strength=0.6)

@@ -168,3 +168,14 @@ class TestSubspaceFile:
         proj_a = corrpca.project(sub, ds)
         proj_b = corrpca.project(again, ds)
         assert np.array_equal(proj_a.vectors, proj_b.vectors)
+
+
+class TestSingleDecomposition:
+    def test_spectrum_from_fit_records_equals_recomputed(self, monkeypatch):
+        ds, _ = planted_axis_corpus(n_identities=12, samples=8, dim=10)
+        sub = corrpca.fit(ds, delta=0.3)
+        recomputed = corrpca.correlation_spectrum(ds)
+        calls = []
+        monkeypatch.setattr(corrpca, "eigh", lambda *a: calls.append(a))
+        assert corrpca.correlation_spectrum(ds, sub) == recomputed
+        assert calls == []

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,140 @@ class TestInitAndCheckpoint:
         with pytest.raises(DataFormatError) as err:
             nets.load_checkpoint(path)
         assert err.value.code == "truncated"
+
+
+def toy_ensemble(rng, k=3, units=6, hidden=4):
+    return nets.EnsembleParams([toy_discriminator(rng, units, hidden) for _ in range(k)])
+
+
+class TestFlatBuffers:
+    def test_blocks_view_one_buffer_in_payload_order(self):
+        rng = np.random.default_rng(20)
+        gen = toy_generator(rng)
+        expected = np.concatenate([gen.weight.ravel(), gen.bias, gen.prelu_slope])
+        assert np.array_equal(gen.flat, expected)
+        gen.flat[0] = 123.0
+        assert gen.weight[0, 0] == 123.0
+
+    def test_ensemble_stacks_member_views(self):
+        rng = np.random.default_rng(21)
+        members = [toy_discriminator(rng) for _ in range(3)]
+        ens = nets.EnsembleParams(members)
+        assert ens.w1.shape == (3, 6, 4) and ens.b2.shape == (3, 2)
+        assert np.array_equal(ens.flat, np.concatenate([m.flat for m in members]))
+        for i, (view, src) in enumerate(zip(ens.members, members)):
+            assert np.shares_memory(view.flat, ens.flat)
+            for name, arr in nets.param_items(src):
+                assert np.array_equal(getattr(ens, name)[i], arr)
+                assert np.array_equal(getattr(view, name), arr)
+
+
+class TestStackedEnsemble:
+    def test_forward_and_backward_equal_per_member_calls(self):
+        rng = np.random.default_rng(22)
+        ens = toy_ensemble(rng, k=4)
+        f = rng.normal(size=(9, 6)) * 3
+        out, cache = nets.discriminator_forward(ens, f)
+        d_out = rng.normal(size=out.shape)
+        grads, d_f = nets.discriminator_backward(ens, cache, d_out)
+        assert out.shape == (4, 9, 2) and d_f.shape == (4, 9, 6)
+        for i, member in enumerate(ens.members):
+            m_out, m_cache = nets.discriminator_forward(member, f)
+            m_grads, m_d_f = nets.discriminator_backward(member, m_cache, d_out[i])
+            assert np.array_equal(out[i], m_out)
+            assert np.array_equal(d_f[i], m_d_f)
+            assert np.array_equal(grads.members[i].flat, m_grads.flat)
+            # the member slice of the stacked cache backs the same pass
+            _, sliced_d_f = nets.discriminator_backward(
+                member, nets.member_cache(cache, i), d_out[i], param_grad=False)
+            assert np.array_equal(sliced_d_f, m_d_f)
+
+    def test_skipped_gradients_are_none_and_the_rest_unchanged(self):
+        rng = np.random.default_rng(23)
+        ens = toy_ensemble(rng)
+        f = rng.normal(size=(5, 6))
+        out, cache = nets.discriminator_forward(ens, f)
+        d_out = rng.normal(size=out.shape)
+        grads, d_f = nets.discriminator_backward(ens, cache, d_out)
+        only_params, none_in = nets.discriminator_backward(ens, cache, d_out, input_grad=False)
+        none_params, only_in = nets.discriminator_backward(ens, cache, d_out, param_grad=False)
+        assert none_in is None and none_params is None
+        assert np.array_equal(only_params.flat, grads.flat)
+        assert np.array_equal(only_in, d_f)
+        gen = toy_generator(rng)
+        _, gcache = nets.generator_forward(gen, rng.normal(size=(5, 5)))
+        g_all, _ = nets.generator_backward(gen, gcache, np.ones((5, 6)))
+        g_only, skipped = nets.generator_backward(gen, gcache, np.ones((5, 6)), input_grad=False)
+        assert skipped is None and np.array_equal(g_all.flat, g_only.flat)
+
+    def test_stacked_gradients_match_fd(self):
+        rng = np.random.default_rng(24)
+        ens = toy_ensemble(rng, k=3)
+        f = rng.normal(size=(4, 6))
+        w = rng.normal(size=(3, 4, 2))
+
+        def loss():
+            out, _ = nets.discriminator_forward(ens, f)
+            return float((out * w).sum())
+
+        _, cache = nets.discriminator_forward(ens, f)
+        grads, d_f = nets.discriminator_backward(ens, cache, w)
+        fd_flat, fd_f = finite_difference(loss, [ens.flat, f])
+        assert rel_err(grads.flat, fd_flat) < 1e-5
+        assert rel_err(d_f.sum(axis=0), fd_f) < 1e-5
+
+    def test_one_adam_step_equals_per_member_steps(self):
+        rng = np.random.default_rng(25)
+        ens = toy_ensemble(rng, k=3)
+        copies = [nets.DiscriminatorParams(*[a.copy() for _, a in nets.param_items(m)])
+                  for m in ens.members]
+        state = nets.AdamState(lr=1e-2)
+        states = [nets.AdamState(lr=1e-2) for _ in copies]
+        for _ in range(4):
+            grads = ens.empty_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
+            nets.adam_step(state, ens, grads)
+            for member, st, g in zip(copies, states, grads.members):
+                nets.adam_step(st, member, g)
+        for view, member in zip(ens.members, copies):
+            assert np.array_equal(view.flat, member.flat)
+
+    def test_nonfinite_ensemble_grad_names_block(self):
+        rng = np.random.default_rng(26)
+        ens = toy_ensemble(rng, k=2)
+        grads = ens.empty_like()
+        grads.flat[:] = 0.0
+        grads.members[1].b1[2] = np.inf
+        before = ens.flat.copy()
+        with pytest.raises(NumericError, match="b1"):
+            nets.adam_step(nets.AdamState(lr=1e-3), ens, grads)
+        assert np.array_equal(ens.flat, before)
+
+
+class TestCheckpointHeader:
+    def test_huge_member_count_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "k.agnd"
+        nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0),
+                             nets.init_ensemble(1, 0))
+        blob = bytearray(path.read_bytes())
+        blob[20:24] = (0xFFFFFFFF).to_bytes(4, "little")  # the k field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as err:
+            nets.load_checkpoint(path)
+        assert err.value.code == "truncated"
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = tmp_path / "z.agnd"
+        path.write_bytes(struct.pack("<4sIIIIII", b"AGND", 1, 0, 0, 0, 0, 0))
+        with pytest.raises(DataFormatError):
+            nets.load_checkpoint(path)
+
+    def test_payload_is_the_concatenated_buffers(self, tmp_path):
+        gen, cls, ens = nets.init_generator(5, 1), nets.init_classifier(3, 2), nets.init_ensemble(2, 3)
+        path = tmp_path / "m.agnd"
+        nets.save_checkpoint(path, gen, cls, ens)
+        payload = np.frombuffer(path.read_bytes()[28:], dtype="<f8")
+        assert np.array_equal(payload, np.concatenate([gen.flat, cls.flat, ens.flat]))
+        gen2, cls2, ens2 = nets.load_checkpoint(path)
+        assert np.array_equal(ens2.w1, ens.w1) and len(ens2.members) == 2
+        assert np.array_equal(gen2.flat, gen.flat) and np.array_equal(cls2.flat, cls.flat)

@@ -22,6 +22,23 @@ class TestTraining:
         ]
         assert np.array_equal(avg, sum(singles) / 3)
 
+    def test_repeats_share_one_decomposition(self, monkeypatch):
+        ds, _ = tiny_corpus()
+        singles = [
+            tpe.tpe_train_single(ds, iterations=3, seed=np.random.SeedSequence(5, spawn_key=(r,)))
+            for r in range(3)
+        ]
+        real, calls = tpe.eigh, []
+
+        def counted(cov):
+            calls.append(1)
+            return real(cov)
+
+        monkeypatch.setattr(tpe, "eigh", counted)
+        avg = tpe.tpe_train(ds, repeats=3, iterations=3, seed=5)
+        assert len(calls) == 1
+        assert np.array_equal(avg, sum(singles) / 3)
+
     def test_deterministic(self):
         ds, _ = tiny_corpus()
         a = tpe.tpe_train(ds, repeats=2, iterations=10, seed=3)

@@ -256,3 +256,42 @@ class TestTransform:
         gen = nets.init_generator(ds.dim + 1, seed=0)
         with pytest.raises(ValidationError):
             trainer.transform(gen, ds)
+
+
+class TestFrozenGeneratorPass:
+    def test_gathered_rows_equal_a_per_batch_forward(self):
+        ds, _ = tiny_corpus(n_identities=30, samples=10)
+        gen = nets.init_generator(ds.dim, seed=2)
+        full = trainer._generate(gen, ds.vectors, chunk=7)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            idx = rng.integers(0, ds.n, 16)
+            direct, _ = nets.generator_forward(gen, ds.vectors[idx])
+            assert np.array_equal(full[idx], direct)
+
+    def test_one_pass_per_generator_state(self, monkeypatch):
+        # k=2, t_ep=2, three episodes: the split passes are after stage 1,
+        # after each stage 3, and episode 1's stage 4 pass also feeds
+        # episode 2's stage 2, so four passes (plus one validation pass per
+        # stage 4), not five.
+        ds, _ = tiny_corpus()
+        cfg = tiny_config(n_ep=3, k=2, g_thresh=1.0)
+        train_idx, val_idx = dataio.split_by_identity(
+            ds, cfg.validation_fraction,
+            np.random.SeedSequence(cfg.seed, spawn_key=(trainer.NS_SPLIT,)),
+        )
+        stage = [None]
+        rows = []
+        real = nets.generator_forward
+
+        def counted(params, x):
+            if stage[0] in (2, 4):
+                rows.append(len(x))
+            return real(params, x)
+
+        def hook(event, episode, number, *_):
+            stage[0] = number if event == "start" else None
+
+        monkeypatch.setattr(nets, "generator_forward", counted)
+        trainer.train(ds, cfg, stage_hook=hook)
+        assert sum(rows) == 4 * len(train_idx) + 3 * len(val_idx)

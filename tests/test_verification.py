@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from agenda import dataio, verification
 from agenda.errors import DimensionError, ValidationError
-from conftest import tiny_corpus
+from conftest import run_cli, tiny_corpus
 
 
 def two_group_dataset(rng, n_ids=8, samples=4, dim=6):
@@ -251,3 +255,33 @@ class TestProtocol:
         for group in (0, 1):
             for pa, pb in zip(rep_a.per_group[group], rep_b.per_group[group]):
                 assert pa.tpr == pb.tpr
+
+
+class TestBoundedScoring:
+    def test_chunked_scores_equal_one_gather(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        ds = two_group_dataset(rng, n_ids=12, samples=6, dim=9)
+        protocol = verification.make_pairs(ds, seed=3)
+        unit = ds.vectors / np.linalg.norm(ds.vectors, axis=1)[:, None]
+        whole = np.einsum("ij,ij->i", unit[protocol.index_a], unit[protocol.index_b])
+        monkeypatch.setattr(verification, "SCORE_CHUNK", 17)
+        scores, _ = verification.score_pairs(ds, protocol)
+        assert np.array_equal(scores, whole)
+
+    def test_256d_eval_peak_rss_is_bounded(self, tmp_path):
+        # The default corpus re-embedded to 256-d gives 735,000 pairs; the
+        # two gathered 256-d pair blocks alone would take 3 GB.
+        spec = tmp_path / "spec.txt"
+        spec.write_text("dim=256\n")
+        corpus = tmp_path / "c256.fds"
+        code, _, err = run_cli("synth", "--spec", spec, "--out", corpus, "--seed", 3)
+        assert code == 0, err
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "agenda.cli", "eval", "--data", str(corpus),
+             "--fprs", "1e-3", "--report", str(tmp_path / "r.csv"), "--seed", "3"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0, proc.stderr.read()
+        peak_mib = usage.ru_maxrss / 1024  # kilobytes on Linux
+        assert peak_mib < 512, peak_mib
