@@ -10,9 +10,9 @@ Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
 violated invariant or numeric failure. Failures print a single
 machine-parseable line to stderr.
 
---threads (or AGENDA_THREADS) caps worker parallelism (the number of
-processes ``sweep`` trains in); every process keeps one BLAS thread, so
-results never depend on it. It is recorded in the manifest.
+--threads (or AGENDA_THREADS) caps worker parallelism; the numeric core is
+vectorized in-process, so results never depend on it. It is recorded in
+the manifest.
 """
 
 import argparse
@@ -20,15 +20,6 @@ import json
 import os
 import sys
 import time
-
-# Matrix products round differently at different BLAS thread counts, so
-# the numeric core runs on one BLAS thread whatever the environment says;
-# threaded BLAS barely gains at these sizes, and processes that each spin
-# several threads on a shared machine slow one another down several times
-# over. This must happen before numpy loads.
-BLAS_THREADS = 1
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(BLAS_THREADS)
 
 from . import __version__, corrpca, probe, synthgen, tpe, trainer, verification
 from .dataio import (
@@ -308,7 +299,7 @@ def _cmd_sweep(args):
             options.append(("ks", args.ks))
         table = verification.ablation_sweep(
             dataset, configs, args.fpr, args.impostor_ratio, seed,
-            args.probe_fraction, seed, workers=args.threads,
+            args.probe_fraction, seed,
         )
         rows += [(label, "%r" % tm, "%r" % tf, "%r" % b, "%r" % acc)
                  for label, tm, tf, b, acc in table]

@@ -274,29 +274,8 @@ def write_report_csv(report, path, comments=()):
     write_csv_report(path, lines, ("fpr", "tpr_m", "tpr_f", "bias"), report_rows(report))
 
 
-def _ablation_row(job):
-    """Train, transform, evaluate and probe one sweep config."""
-    from . import probe as probe_mod
-    from . import trainer as trainer_mod
-
-    dataset, config, protocol, fit_idx, eval_idx, fpr = job
-    gen, _, _, _ = trainer_mod.train(dataset, config)
-    transformed = trainer_mod.transform(gen, dataset)
-    report = evaluate(transformed, protocol, (fpr,))
-    model = probe_mod.probe_train(transformed.subset(fit_idx))
-    probe_report = probe_mod.probe_eval(
-        model, transformed.subset(eval_idx), train_size=len(fit_idx)
-    )
-    return (
-        report.per_group[1][0].tpr,
-        report.per_group[0][0].tpr,
-        report.bias[0],
-        probe_report.overall_accuracy,
-    )
-
-
 def ablation_sweep(dataset, configs, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
-                   pair_seed=0, probe_fraction=0.3, probe_seed=0, workers=1):
+                   pair_seed=0, probe_fraction=0.3, probe_seed=0):
     """Train/transform/evaluate once per config; emits one table row each.
 
     ``configs`` is a sequence of (label, TrainConfig). All configs share
@@ -304,25 +283,29 @@ def ablation_sweep(dataset, configs, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
     input dataset (record order is preserved by the transform, so indices
     stay valid). Returns rows of
     (label, tpr_m, tpr_f, bias, probe_accuracy_pct).
-
-    With ``workers`` > 1 the configs run in up to that many spawned
-    processes. They inherit the environment, and with it the BLAS thread
-    count, so the rows are the same as a serial run; keep that count at
-    one per process or the workers oversubscribe the cores.
     """
+    from . import probe as probe_mod
+    from . import trainer as trainer_mod
     from .dataio import split_by_identity
 
     protocol = make_pairs(dataset, impostor_ratio, pair_seed)
     fit_idx, eval_idx = split_by_identity(dataset, probe_fraction, probe_seed)
-    jobs = [(dataset, config, protocol, fit_idx, eval_idx, fpr) for _, config in configs]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            results = list(pool.map(_ablation_row, jobs))
-    else:
-        results = [_ablation_row(job) for job in jobs]
-    return [(label,) + row for (label, _), row in zip(configs, results)]
+    rows = []
+    for label, config in configs:
+        gen, _, _, _ = trainer_mod.train(dataset, config)
+        transformed = trainer_mod.transform(gen, dataset)
+        report = evaluate(transformed, protocol, (fpr,))
+        model = probe_mod.probe_train(transformed.subset(fit_idx))
+        probe_report = probe_mod.probe_eval(
+            model, transformed.subset(eval_idx), train_size=len(fit_idx)
+        )
+        rows.append(
+            (
+                label,
+                report.per_group[1][0].tpr,
+                report.per_group[0][0].tpr,
+                report.bias[0],
+                probe_report.overall_accuracy,
+            )
+        )
+    return rows

@@ -2,22 +2,12 @@
 
 The default pipeline run (synth -> train -> transform -> probe -> eval via
 the CLI) takes a few minutes and is shared by several acceptance criteria;
-it runs at most once per session, side by side with the repeat run that
-the determinism criterion compares it with.
+it runs at most once per session.
 """
 
-import multiprocessing
-import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-
-# One BLAS thread, as the CLI pins it: results depend on the BLAS thread
-# count, and processes that each spin several threads on a shared machine
-# slow one another down several times over. Must precede the numpy import.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest
@@ -51,21 +41,11 @@ def small_corpus():
     return dataset
 
 
-def process_map(fn, *iterables, workers=2):
-    """``list(map(fn, *iterables))`` over spawned processes, for independent
-    heavy cases; ``fn`` must be importable by name. The processes inherit
-    the one-thread BLAS setting above, so results equal a serial map."""
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, *iterables))
-
-
-def run_cli(*argv, env=None):
-    """Run the CLI in a subprocess; returns (exit_code, stdout, stderr).
-    ``env`` adds variables to the inherited environment."""
+def run_cli(*argv):
+    """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "agenda.cli", *[str(a) for a in argv]],
-        capture_output=True, text=True, env=dict(os.environ, **(env or {})),
+        capture_output=True, text=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -110,18 +90,8 @@ def run_default_pipeline(root, seed=2024):
 
 
 @pytest.fixture(scope="session")
-def default_pipeline_pair(tmp_path_factory):
-    """Two independent runs of the default pipeline, side by side (each is
-    a chain of single-threaded CLI processes); the second is the repeat
-    that the determinism criterion compares against the first."""
-    roots = [tmp_path_factory.mktemp(name) for name in ("pipeline_a", "pipeline_b")]
-    with ThreadPoolExecutor(len(roots)) as pool:
-        return list(pool.map(run_default_pipeline, roots))
-
-
-@pytest.fixture(scope="session")
-def default_pipeline(default_pipeline_pair):
-    return default_pipeline_pair[0]
+def default_pipeline(tmp_path_factory):
+    return run_default_pipeline(tmp_path_factory.mktemp("pipeline_a"))
 
 
 def read_probe_accuracy(path):

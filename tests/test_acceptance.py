@@ -12,9 +12,9 @@ import pytest
 
 from agenda import corrpca, dataio, losses, nets, probe, synthgen, tpe, trainer, verification
 from conftest import (
-    process_map,
     read_eval_rows,
     read_probe_accuracy,
+    run_default_pipeline,
     tiny_corpus,
 )
 
@@ -353,13 +353,11 @@ class TestCriterion7Eigensolver:
 
         rng = np.random.default_rng(707)
         worst_res, worst_orth, worst_trace = 0.0, 0.0, 0.0
-        matrices = []
         for trial in range(100):
             n = int(rng.integers(2, 129))
             a = rng.normal(size=(n, n)) * rng.uniform(0.1, 3.0)
-            matrices.append((a + a.T) / 2)
-        for a, d in zip(matrices, process_map(linalg.eigh, matrices)):
-            n = len(a)
+            a = (a + a.T) / 2
+            d = linalg.eigh(a)
             v = d.eigenvectors
             orth = float(np.max(np.abs(v @ v.T - np.eye(n))))
             residual = a @ v.T - v.T * d.eigenvalues
@@ -401,18 +399,6 @@ class TestCriterion3Leakage:
 
 # --- criterion 4: bias reduction under group-asymmetric noise -------------------
 
-def bias_run(seed, fpr):
-    """Criterion 4 for one seed: the eval reports before and after training."""
-    spec = synthgen.SynthSpec(female_noise_scale=1.5, seed=seed)
-    ds, _ = synthgen.generate(spec)
-    protocol = verification.make_pairs(ds, impostor_ratio=2.0, seed=seed)
-    before = verification.evaluate(ds, protocol, (fpr,))
-    cfg = dataclasses.replace(trainer.TrainConfig(), seed=seed)
-    gen, _, _, _ = trainer.train(ds, cfg)
-    after = verification.evaluate(trainer.transform(gen, ds), protocol, (fpr,))
-    return before, after
-
-
 @pytest.mark.slow
 class TestCriterion4Bias:
     def test_bias_not_increased_tpr_stable(self):
@@ -420,9 +406,14 @@ class TestCriterion4Bias:
         befores, afters = [], []
         tpr_before = {0: [], 1: []}
         tpr_after = {0: [], 1: []}
-        seeds = (41, 42, 43)
-        runs = process_map(bias_run, seeds, [fpr] * len(seeds), workers=len(seeds))
-        for before, after in runs:
+        for seed in (41, 42, 43):
+            spec = synthgen.SynthSpec(female_noise_scale=1.5, seed=seed)
+            ds, _ = synthgen.generate(spec)
+            protocol = verification.make_pairs(ds, impostor_ratio=2.0, seed=seed)
+            before = verification.evaluate(ds, protocol, (fpr,))
+            cfg = dataclasses.replace(trainer.TrainConfig(), seed=seed)
+            gen, _, _, _ = trainer.train(ds, cfg)
+            after = verification.evaluate(trainer.transform(gen, ds), protocol, (fpr,))
             befores.append(before.bias[0])
             afters.append(after.bias[0])
             for group in (0, 1):
@@ -462,7 +453,7 @@ class TestCriterion8LambdaTrends:
             ]
             rows = verification.ablation_sweep(
                 ds, configs, fpr, impostor_ratio=2.0, pair_seed=seed,
-                probe_fraction=0.3, probe_seed=seed, workers=3,
+                probe_fraction=0.3, probe_seed=seed,
             )
             for (label, tpr_m, tpr_f, bias_v, acc), lam in zip(rows, lambdas):
                 probe_acc[lam].append(acc)
@@ -512,8 +503,8 @@ class TestCriterion9ConfusionFloor:
 
 @pytest.mark.slow
 class TestCriterion10Determinism:
-    def test_byte_identical_repeat(self, default_pipeline_pair):
-        default_pipeline, repeat = default_pipeline_pair
+    def test_byte_identical_repeat(self, default_pipeline, tmp_path_factory):
+        repeat = run_default_pipeline(tmp_path_factory.mktemp("pipeline_b"))
         pairs = [
             ("corpus", default_pipeline.corpus, repeat.corpus),
             ("checkpoint", default_pipeline.ckpt, repeat.ckpt),

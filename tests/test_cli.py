@@ -281,21 +281,3 @@ class TestDeterminism:
             run_cli("train", "--data", corpus, "--config", cfg, "--out", ckpt, "--log", log)
             outputs[run] = (corpus.read_bytes(), ckpt.read_bytes(), log.read_bytes())
         assert outputs["x"] == outputs["y"]
-
-    def test_checkpoint_independent_of_blas_threads(self, tmp_path):
-        # batch-400 products take OpenBLAS's threaded path when it may use
-        # two threads, and that path rounds differently
-        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=40,
-                               samples_per_identity=20, dim=64)
-        cfg = write_tiny_train_cfg(tmp_path / "t.cfg", batch_size=400, n_ep=1,
-                                   t_fc=20, t_gtrain=5, t_deb=5, t_plat=5)
-        corpus = tmp_path / "c.fds"
-        assert run_cli("synth", "--spec", spec, "--out", corpus)[0] == 0
-        ckpts = []
-        for threads in ("1", "2"):
-            ckpt = tmp_path / ("m%s.agnd" % threads)
-            code, _, err = run_cli("train", "--data", corpus, "--config", cfg, "--out", ckpt,
-                                   env={"OPENBLAS_NUM_THREADS": threads})
-            assert code == 0, err
-            ckpts.append(ckpt.read_bytes())
-        assert ckpts[0] == ckpts[1]

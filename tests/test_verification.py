@@ -7,7 +7,7 @@ import pytest
 
 from agenda import dataio, verification
 from agenda.errors import DimensionError, ValidationError
-from conftest import run_cli, tiny_config, tiny_corpus
+from conftest import run_cli, tiny_corpus
 
 
 def two_group_dataset(rng, n_ids=8, samples=4, dim=6):
@@ -285,13 +285,3 @@ class TestBoundedScoring:
         assert os.waitstatus_to_exitcode(status) == 0, proc.stderr.read()
         peak_mib = usage.ru_maxrss / 1024  # kilobytes on Linux
         assert peak_mib < 512, peak_mib
-
-
-class TestAblationSweep:
-    def test_worker_processes_give_the_serial_rows(self):
-        ds, _ = tiny_corpus(n_identities=16, samples=10)
-        configs = [("lam=%g" % lam, tiny_config(lam=lam)) for lam in (0.0, 1.0, 10.0)]
-        serial = verification.ablation_sweep(ds, configs, 0.1, probe_seed=4)
-        parallel = verification.ablation_sweep(ds, configs, 0.1, probe_seed=4, workers=2)
-        assert [row[0] for row in serial] == ["lam=0", "lam=1", "lam=10"]
-        assert parallel == serial
