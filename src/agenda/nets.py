@@ -15,9 +15,10 @@ stacked ``(k, ...)`` views and ``members`` holds per-member views, so the
 discriminator passes run either one member or all k at once.
 
 Forward passes return ``(output, cache)``; the matching backward consumes
-the cache plus an upstream gradient and returns exact analytic gradients
-for the parameters and, when asked, the layer input. All math is float64;
-shapes come from the parameter arrays, so tests can use toy sizes.
+the cache plus an upstream gradient and produces exact analytic gradients
+for the parameters and, when asked, the layer input. All math is float64.
+Shapes are taken from the parameter arrays, so tests can build small toy
+nets while the factories produce the production sizes.
 """
 
 import math
@@ -114,25 +115,37 @@ def _glorot(rng, fan_in, fan_out, shape):
 
 
 def _rng_of(seed):
+    if isinstance(seed, np.random.Generator):
+        return seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(ss))
 
 
 def init_generator(in_dim, seed, units=GENERATOR_UNITS):
-    weight = _glorot(_rng_of(seed), in_dim, units, (in_dim, units))
-    return GeneratorParams(weight, np.zeros(units), np.full(units, PRELU_INIT_SLOPE))
+    rng = _rng_of(seed)
+    return GeneratorParams(
+        weight=_glorot(rng, in_dim, units, (in_dim, units)),
+        bias=np.zeros(units),
+        prelu_slope=np.full(units, PRELU_INIT_SLOPE),
+    )
 
 
 def init_classifier(n_identities, seed, units=GENERATOR_UNITS):
-    weight = _glorot(_rng_of(seed), units, n_identities, (units, n_identities))
-    return ClassifierParams(weight, np.zeros(n_identities))
+    rng = _rng_of(seed)
+    return ClassifierParams(
+        weight=_glorot(rng, units, n_identities, (units, n_identities)),
+        bias=np.zeros(n_identities),
+    )
 
 
 def init_discriminator(seed, units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
     rng = _rng_of(seed)
-    w1 = _glorot(rng, units, hidden, (units, hidden))
-    w2 = _glorot(rng, hidden, 2, (hidden, 2))
-    return DiscriminatorParams(w1, np.zeros(hidden), w2, np.zeros(2))
+    return DiscriminatorParams(
+        w1=_glorot(rng, units, hidden, (units, hidden)),
+        b1=np.zeros(hidden),
+        w2=_glorot(rng, hidden, 2, (hidden, 2)),
+        b2=np.zeros(2),
+    )
 
 
 def init_ensemble(k, seed, units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
@@ -145,7 +158,9 @@ def _check_batch(x, expected_cols, who):
     if x.ndim != 2:
         raise DimensionError("%s expects a 2-d batch" % who)
     if x.shape[1] != expected_cols:
-        raise DimensionError("%s expects %d columns, got %d" % (who, expected_cols, x.shape[1]))
+        raise DimensionError(
+            "%s expects %d columns, got %d" % (who, expected_cols, x.shape[1])
+        )
     return x
 
 
@@ -165,7 +180,8 @@ def _t(a):
 
 
 def _softmax_rows(z):
-    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    ez = np.exp(shifted)
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
@@ -210,7 +226,8 @@ def generator_backward(params, cache, d_out, input_grad=True):
 def classifier_forward(params, f_out):
     """softmax(f @ W + b) with max-subtraction; rows sum to 1."""
     f_out = _check_batch(f_out, params.weight.shape[0], "classifier_forward")
-    probs = _softmax_rows(f_out @ params.weight + params.bias)
+    logits = f_out @ params.weight + params.bias
+    probs = _softmax_rows(logits)
     return probs, (f_out, probs)
 
 

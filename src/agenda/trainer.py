@@ -20,7 +20,6 @@ by (episode, stage) so ablations with the same seed consume identical
 batches in matching stages. Adam state is fresh at each stage entry.
 """
 
-import collections
 import contextlib
 import dataclasses
 import math
@@ -78,12 +77,16 @@ class TrainConfig:
         return self.k if self.t_ep is None else self.t_ep
 
     def validate(self):
-        for name in ("k", "t_fc", "t_gtrain", "t_deb", "t_plat", "t_ep", "n_ep"):
-            value = self.resolved_t_ep() if name == "t_ep" else getattr(self, name)
+        counts = {
+            "k": self.k, "t_fc": self.t_fc, "t_gtrain": self.t_gtrain,
+            "t_deb": self.t_deb, "t_plat": self.t_plat,
+            "t_ep": self.resolved_t_ep(), "n_ep": self.n_ep,
+        }
+        for name, value in counts.items():
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValidationError("%s must be an integer >= 1, got %r" % (name, value))
-        for name in ("alpha1", "alpha2", "alpha3"):
-            if not getattr(self, name) > 0:
+        for name, rate in (("alpha1", self.alpha1), ("alpha2", self.alpha2), ("alpha3", self.alpha3)):
+            if not rate > 0:
                 raise ValidationError("%s must be > 0" % name)
         if self.lam < 0:
             raise ValidationError("lam must be >= 0")
@@ -95,17 +98,38 @@ class TrainConfig:
             raise ValidationError("validation_fraction must be in (0, 1)")
 
     @classmethod
-    def from_file(cls, path):
+    def field_types(cls):
         types = {f.name: f.type for f in dataclasses.fields(cls)}
-        return cls(**coerce_kv(read_kv_config(path), types))
+        types["t_ep"] = int
+        return types
+
+    @classmethod
+    def from_file(cls, path):
+        return cls(**coerce_kv(read_kv_config(path), cls.field_types()))
 
     def to_kv(self):
-        return [(f.name, self.resolved_t_ep() if f.name == "t_ep" else getattr(self, f.name))
-                for f in dataclasses.fields(self)]
+        pairs = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "t_ep":
+                value = self.resolved_t_ep()
+            pairs.append((f.name, value))
+        return pairs
+
+
+@dataclass
+class LogRecord:
+    episode: int
+    stage: int
+    iteration: int
+    l_class: float = None
+    l_deb: float = None
+    l_br: float = None
+    member_k: int = None
+    val_acc: float = None
 
 
 CSV_COLUMNS = ("episode", "stage", "iteration", "l_class", "l_deb", "l_br", "member_k", "val_acc")
-LogRecord = collections.namedtuple("LogRecord", CSV_COLUMNS, defaults=(None,) * 5)
 
 
 @dataclass
@@ -120,9 +144,13 @@ class TrainLog:
         return [(r.episode, r.stage, r.member_k) for r in self.records]
 
     def rows(self):
-        """CSV cells: integers as they are, floats round-trip, None empty."""
         for r in self.records:
-            yield tuple(v if isinstance(v, (int, np.integer)) else format_float(v) for v in r)
+            yield (
+                r.episode, r.stage, r.iteration,
+                format_float(r.l_class), format_float(r.l_deb), format_float(r.l_br),
+                "" if r.member_k is None else r.member_k,
+                format_float(r.val_acc),
+            )
 
     def write_csv(self, path, comments=()):
         write_csv_report(path, comments, CSV_COLUMNS, self.rows())
@@ -148,22 +176,26 @@ def balanced_batches(dataset, batch_size, seed):
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     while True:
         rng = np.random.Generator(np.random.Philox(ss.spawn(1)[0]))
-        pools = [(pool, rng.permutation(pool)) for pool in (pool1, pool0)]
+        shuffled1 = rng.permutation(pool1)
+        shuffled0 = rng.permutation(pool0)
         for b in range(per_epoch):
             batch = []
-            for pool, shuffled in pools:
+            for pool, shuffled in ((pool1, shuffled1), (pool0, shuffled0)):
                 take = shuffled[b * half : (b + 1) * half]
                 if len(take) < half:
-                    refill = rng.choice(pool, size=half - len(take), replace=True)
-                    take = np.concatenate([take, refill])
+                    take = np.concatenate(
+                        [take, rng.choice(pool, size=half - len(take), replace=True)]
+                    )
                 batch.append(take)
             yield np.concatenate(batch)
 
 
 def _check_finite(value, stage, episode, iteration):
     if not np.isfinite(value):
-        raise NumericError("non-finite loss (%r) at stage %d, episode %d, iteration %d"
-                           % (value, stage, episode, iteration))
+        raise NumericError(
+            "non-finite loss (%r) at stage %d, episode %d, iteration %d"
+            % (value, stage, episode, iteration)
+        )
 
 
 GENERATOR_CHUNK = 1024  # rows per generator call in whole-split passes
@@ -224,7 +256,8 @@ def train(dataset, config, stage_hook=None):
 
     ``stage_hook(event, episode, stage, gen, cls, ensemble)`` is invoked
     with event "start"/"end" around every executed stage; it must treat the
-    parameters as read-only.
+    parameters as read-only. Each of the three is one object for the whole
+    run, updated in place.
     """
     config.validate()
     if len(np.unique(dataset.identities)) < 2:
@@ -232,8 +265,10 @@ def train(dataset, config, stage_hook=None):
     if len(np.unique(dataset.attributes)) < 2:
         raise ValidationError("training needs both attribute values")
 
-    ss_split = np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,))
-    train_idx, val_idx = split_by_identity(dataset, config.validation_fraction, ss_split)
+    train_idx, val_idx = split_by_identity(
+        dataset, config.validation_fraction,
+        np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,)),
+    )
     train_ds = dataset.subset(train_idx)
     val_ds = dataset.subset(val_idx)
     if len(np.unique(train_ds.identities)) < 2 or len(np.unique(train_ds.attributes)) < 2:
@@ -245,7 +280,8 @@ def train(dataset, config, stage_hook=None):
     val_attrs = val_ds.attributes.astype(np.int64)
 
     t_ep = config.resolved_t_ep()
-    ss_gen, ss_cls = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,)).spawn(2)
+    init_mc = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,))
+    ss_gen, ss_cls = init_mc.spawn(2)
     gen = nets.init_generator(train_ds.dim, ss_gen)
     cls = nets.init_classifier(len(class_ids), ss_cls)
     ensemble = nets.EnsembleParams([])
@@ -287,7 +323,10 @@ def train(dataset, config, stage_hook=None):
         if episode % t_ep == 0:
             with stage_span(episode, 2) as stream:
                 ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, episode // t_ep))
-                ensemble = nets.init_ensemble(config.k, ss_e, units=gen.weight.shape[1])
+                fresh = nets.init_ensemble(config.k, ss_e, units=gen.weight.shape[1])
+                # Refill the one ensemble object, so a hook that keeps it
+                # sees every later update.
+                ensemble._bind(fresh.flat, fresh.shapes)
                 adam = nets.AdamState(lr=config.alpha2)  # one state for the whole stack
                 for n in range(config.t_gtrain):
                     idx = next(stream)
@@ -318,7 +357,12 @@ def train(dataset, config, stage_hook=None):
 def transform(gen, dataset, chunk=GENERATOR_CHUNK):
     """Re-embed every record through the generator; labels pass through."""
     if dataset.dim != gen.weight.shape[0]:
-        raise ValidationError("dataset dim %d does not match generator input dim %d"
-                              % (dataset.dim, gen.weight.shape[0]))
-    return DescriptorDataset(dataset.identities.copy(), dataset.attributes.copy(),
-                             _generate(gen, dataset.vectors, chunk))
+        raise ValidationError(
+            "dataset dim %d does not match generator input dim %d"
+            % (dataset.dim, gen.weight.shape[0])
+        )
+    return DescriptorDataset(
+        dataset.identities.copy(),
+        dataset.attributes.copy(),
+        _generate(gen, dataset.vectors, chunk),
+    )

@@ -268,6 +268,12 @@ class TestInitAndCheckpoint:
         assert np.abs(g1.weight).max() <= limit
         assert np.all(g1.bias == 0) and np.all(g1.prelu_slope == 0.25)
 
+    def test_init_accepts_a_generator_seed(self):
+        make = lambda: np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+        assert np.array_equal(nets.init_generator(16, make()).weight,
+                              nets.init_generator(16, seed=4).weight)
+        assert nets.init_discriminator(make(), units=6, hidden=4).w1.shape == (6, 4)
+
     def test_checkpoint_round_trip(self, tmp_path):
         gen = nets.init_generator(8, seed=1)
         cls = nets.init_classifier(5, seed=2)

@@ -151,6 +151,18 @@ class TestTrainLoop:
         trainer.train(ds, cfg, stage_hook=hook)
         assert violations == []
 
+    def test_hook_sees_one_ensemble_object(self):
+        # stage 2 refills the ensemble in place, so a kept reference follows
+        # every later update and ends equal to the returned ensemble
+        ds, _ = tiny_corpus()
+        cfg = tiny_config(n_ep=3, k=2, t_ep=2)
+        seen = []
+        trainer.train(ds, cfg, stage_hook=lambda event, ep, st, g, c, e: seen.append(e))
+        _, _, ensemble, _ = trainer.train(ds, cfg)
+        assert all(e is seen[0] for e in seen)
+        assert len(seen[0].members) == 2
+        assert identical(snapshot(seen[0].members[1]), ensemble.members[1])
+
     def test_stage4_member_is_episode_mod_k(self):
         ds, _ = tiny_corpus()
         cfg = tiny_config(n_ep=5, k=3)
