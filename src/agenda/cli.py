@@ -16,6 +16,7 @@ the manifest.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -245,17 +246,15 @@ def _cmd_tpe(args):
     return 0
 
 
-def _sweep_eval_row(label, dataset, protocol, fpr, fit_idx, eval_idx):
-    report = verification.evaluate(dataset, protocol, (fpr,))
-    model = probe.probe_train(dataset.subset(fit_idx))
-    probe_report = probe.probe_eval(model, dataset.subset(eval_idx), train_size=len(fit_idx))
-    return (
-        label,
-        "%r" % report.per_group[1][0].tpr,
-        "%r" % report.per_group[0][0].tpr,
-        "%r" % report.bias[0],
-        "%r" % probe_report.overall_accuracy,
-    )
+def _trained(dataset, config):
+    gen, _, _, _ = trainer.train(dataset, config)
+    return trainer.transform(gen, dataset)
+
+
+def _compare_variants(dataset, delta, config):
+    yield "original", dataset
+    yield "corrpca", corrpca.project(corrpca.fit(dataset, delta), dataset)
+    yield "agenda", _trained(dataset, config)
 
 
 def _cmd_sweep(args):
@@ -268,46 +267,30 @@ def _cmd_sweep(args):
     if args.seed is not None:
         base.seed = args.seed
     dataset = read_dataset(args.data)
-    rows = []
     options = [("fpr", args.fpr), ("impostor_ratio", args.impostor_ratio),
                ("probe_fraction", args.probe_fraction)]
+    # Variants are generated on demand, so one transformed dataset is alive at a time.
     if args.compare:
-        protocol = verification.make_pairs(dataset, args.impostor_ratio, seed)
-        fit_idx, eval_idx = split_by_identity(dataset, args.probe_fraction, seed)
-        rows.append(_sweep_eval_row("original", dataset, protocol, args.fpr, fit_idx, eval_idx))
-        subspace = corrpca.fit(dataset, args.delta)
-        rows.append(_sweep_eval_row(
-            "corrpca", corrpca.project(subspace, dataset), protocol, args.fpr,
-            fit_idx, eval_idx,
-        ))
-        gen, _, _, _ = trainer.train(dataset, base)
-        rows.append(_sweep_eval_row(
-            "agenda", trainer.transform(gen, dataset), protocol, args.fpr,
-            fit_idx, eval_idx,
-        ))
+        variants = _compare_variants(dataset, args.delta, base)
         options += [("mode", "compare"), ("delta", args.delta)]
     else:
         if args.lambdas:
-            import dataclasses as _dc
             values = _parse_float_list(args.lambdas, "--lambdas")
-            configs = [("lam=%s" % v, _dc.replace(base, lam=v)) for v in values]
+            configs = [("lam=%s" % v, dataclasses.replace(base, lam=v)) for v in values]
             options.append(("lambdas", args.lambdas))
         else:
-            import dataclasses as _dc
             values = [int(v) for v in _parse_float_list(args.ks, "--ks")]
-            configs = [("k=%d" % v, _dc.replace(base, k=v, t_ep=None)) for v in values]
+            configs = [("k=%d" % v, dataclasses.replace(base, k=v, t_ep=None)) for v in values]
             options.append(("ks", args.ks))
-        table = verification.ablation_sweep(
-            dataset, configs, args.fpr, args.impostor_ratio, seed,
-            args.probe_fraction, seed,
-        )
-        rows += [(label, "%r" % tm, "%r" % tf, "%r" % b, "%r" % acc)
-                 for label, tm, tf, b, acc in table]
+        variants = ((label, _trained(dataset, config)) for label, config in configs)
+    table = verification.ablation_sweep(
+        dataset, variants, args.fpr, args.impostor_ratio, seed, args.probe_fraction, seed,
+    )
     write_csv_report(
         args.report,
         _comment_block("sweep", seed, options + base.to_kv()),
         ("param", "tpr_m", "tpr_f", "bias", "probe_accuracy_pct"),
-        rows,
+        [(label,) + tuple("%r" % value for value in values) for label, *values in table],
     )
     _write_manifest(args, "sweep", options, [args.data], [args.report], seed, started)
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DescriptorDataset
+from .dataio import DescriptorDataset, read_binary
 from .errors import DataFormatError, DimensionError, ValidationError
 from .linalg import DegenerateInputWarning, covariance, eigh, spearman
 
@@ -136,26 +136,14 @@ def save_subspace(subspace, path):
 
 
 def load_subspace(path):
-    with open(path, "rb") as fh:
-        head = fh.read(_SUBSPACE_HEADER.size)
-        if len(head) < _SUBSPACE_HEADER.size:
-            raise DataFormatError("truncated", "subspace file too short for header")
-        magic, dim, r = _SUBSPACE_HEADER.unpack(head)
-        if magic != SUBSPACE_MAGIC:
-            raise DataFormatError("bad_magic", "bad subspace magic %r" % magic)
-        payload = fh.read()
-    expected = dim * 8 + dim + r * dim * 8
-    if len(payload) != expected:
-        raise DataFormatError(
-            "truncated", "subspace payload: expected %d bytes, got %d" % (expected, len(payload))
-        )
-    mean = np.frombuffer(payload, dtype="<f8", count=dim).copy()
-    flags = np.frombuffer(payload, dtype="u1", count=dim, offset=dim * 8).astype(bool)
-    rows = (
-        np.frombuffer(payload, dtype="<f8", count=r * dim, offset=dim * 9)
-        .reshape(r, dim)
-        .copy()
+    _, (mean, flags, rows) = read_binary(
+        path, _SUBSPACE_HEADER, SUBSPACE_MAGIC,
+        lambda dim, r: [("<f8", (dim,)), ("u1", (dim,)), ("<f8", (r, dim))],
     )
-    if int(flags.sum()) != r:
+    if np.any(flags > 1):
+        raise DataFormatError("bad_flag", "retained flag byte outside {0, 1}")
+    if int(flags.sum()) != rows.shape[0]:
         raise DataFormatError("truncated", "retained flag count disagrees with row count")
-    return CorrSubspace(mean=mean, retained_vectors=rows, retained_flags=flags)
+    return CorrSubspace(
+        mean=mean.copy(), retained_vectors=rows.copy(), retained_flags=flags.astype(bool)
+    )

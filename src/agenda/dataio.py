@@ -15,6 +15,7 @@ where a dataset came from.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ MAGIC = b"FDS1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQI")
 
-# Readers refuse to allocate more than this for a single payload unless told
-# otherwise; malformed headers fail fast instead of exhausting memory.
+# Readers refuse to allocate more than this for a single payload; malformed
+# headers fail fast instead of exhausting memory.
 DEFAULT_MAX_BYTES = 8 << 30
 
 
@@ -94,39 +95,84 @@ def write_dataset(dataset, path):
         fh.write(records.tobytes())
 
 
-def read_dataset(path, max_bytes=DEFAULT_MAX_BYTES):
-    """Read a dataset file, validating the header before touching the payload."""
+def read_binary(path, header, magic, layout, version=None):
+    """Read one of the package's little-endian header + payload files.
+
+    ``header`` is a :class:`struct.Struct` whose first field is the 4-byte
+    ``magic`` and, for a versioned format, whose second is the format
+    ``version``. ``layout(*fields)`` maps the remaining header fields to the
+    payload as a list of ``(dtype, shape)`` blocks stored back to back, and
+    may raise :class:`DataFormatError` for a header it rejects. The declared
+    payload size is computed in Python integers and checked against the file
+    size (``truncated``) and ``DEFAULT_MAX_BYTES`` (``too_large``) before the
+    payload is read, so a lying header allocates nothing. Floating-point
+    blocks must be finite (``nonfinite``).
+
+    Returns ``(fields, blocks)``: the remaining header fields and one
+    read-only array per layout block.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
+        head = fh.read(header.size)
+        if len(head) < header.size:
             raise DataFormatError(
                 "truncated",
-                "file too short for header: expected %d bytes, got %d"
-                % (_HEADER.size, len(head)),
+                "file too short for header: expected %d bytes, got %d" % (header.size, len(head)),
             )
-        magic, version, count, dim = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise DataFormatError("bad_magic", "bad magic %r (expected %r)" % (magic, MAGIC))
-        if version != FORMAT_VERSION:
-            raise DataFormatError(
-                "version", "unsupported format version %d (expected %d)" % (version, FORMAT_VERSION)
-            )
-        if dim < 1:
-            raise DataFormatError("truncated", "header declares dim=0")
-        expected = count * _record_dtype(dim).itemsize
-        if expected > max_bytes:
-            raise DataFormatError(
-                "too_large",
-                "payload of %d bytes exceeds the %d byte cap" % (expected, max_bytes),
-            )
-        payload = fh.read(expected + 1)
-    if len(payload) != expected:
+        fields = header.unpack(head)
+        if fields[0] != magic:
+            raise DataFormatError("bad_magic", "bad magic %r (expected %r)" % (fields[0], magic))
+        fields = fields[1:]
+        if version is not None:
+            if fields[0] != version:
+                raise DataFormatError(
+                    "version", "unsupported format version %d (expected %d)" % (fields[0], version)
+                )
+            fields = fields[1:]
+        layout = [(np.dtype(dtype), shape) for dtype, shape in layout(*fields)]
+        expected = sum(dtype.itemsize * math.prod(shape) for dtype, shape in layout)
+        got = os.fstat(fh.fileno()).st_size - header.size
+        if got == expected:
+            if expected > DEFAULT_MAX_BYTES:
+                raise DataFormatError(
+                    "too_large",
+                    "payload of %d bytes exceeds the %d byte cap" % (expected, DEFAULT_MAX_BYTES),
+                )
+            payload = fh.read(expected)
+            got = len(payload)
+    if got != expected:
         raise DataFormatError(
-            "truncated",
-            "payload length mismatch: expected %d bytes, got %s"
-            % (expected, "more" if len(payload) > expected else len(payload)),
+            "truncated", "payload length mismatch: expected %d bytes, got %d" % (expected, got)
         )
-    records = np.frombuffer(payload, dtype=_record_dtype(dim), count=count)
+    blocks, offset = [], 0
+    for dtype, shape in layout:
+        count = math.prod(shape)
+        block = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape)
+        if dtype.kind == "f" and not np.all(np.isfinite(block)):
+            raise DataFormatError("nonfinite", "payload block %d is not finite" % len(blocks))
+        blocks.append(block)
+        offset += dtype.itemsize * count
+    return fields, blocks
+
+
+def _dataset_layout(count, dim):
+    if dim < 1:
+        raise DataFormatError("truncated", "header declares dim=0")
+    record = 8 + 1 + 4 * dim  # identity u64, attribute u8, vector dim x f32
+    # Datasets meet the cap before the file size, so a huge record count is
+    # too_large even in a short file; a dim whose one record exceeds the cap
+    # could not be described by a numpy record dtype either.
+    if record * max(count, 1) > DEFAULT_MAX_BYTES:
+        raise DataFormatError(
+            "too_large",
+            "%d records of %d bytes exceed the %d byte cap" % (count, record, DEFAULT_MAX_BYTES),
+        )
+    return [("u1", (count * record,))]
+
+
+def read_dataset(path):
+    """Read a dataset file, validating the header before touching the payload."""
+    (count, dim), (raw,) = read_binary(path, _HEADER, MAGIC, _dataset_layout, FORMAT_VERSION)
+    records = raw.view(_record_dtype(dim))
     if np.any(records["attribute"] > 1):
         raise DataFormatError("bad_attribute", "attribute byte outside {0, 1}")
     vectors = records["vector"].astype(np.float64)

@@ -29,7 +29,7 @@ class DataFormatError(AgendaError):
     """A file could not be parsed. ``code`` identifies the failure kind.
 
     Codes: ``bad_magic``, ``version``, ``truncated``, ``nonfinite``,
-    ``bad_attribute``, ``too_large``, ``bad_key``, ``bad_value``.
+    ``bad_attribute``, ``bad_flag``, ``too_large``, ``bad_key``, ``bad_value``.
     """
 
     def __init__(self, code, message):

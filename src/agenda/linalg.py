@@ -1,9 +1,8 @@
 """Dense covariance, symmetric eigendecomposition, and rank correlation.
 
-Everything here operates on plain float64 numpy arrays. Matrices are at
-most a few hundred columns (descriptor dimensions), so a cyclic Jacobi
-sweep is fast enough for the eigensolver and keeps the numerics easy to
-reason about.
+Everything here operates on plain float64 numpy arrays. The eigensolver is
+LAPACK's symmetric solver through numpy, with eigenvalues sorted descending
+and eigenvector signs fixed so that output files are reproducible.
 """
 
 import warnings
@@ -59,73 +58,28 @@ def _canonical_signs(vectors):
     return vectors * signs[:, None]
 
 
-def eigh(a, max_sweeps=60):
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
+def eigh(a):
+    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
     Input must be square and symmetric within ``1e-9`` relative to its
-    largest entry. Raises :class:`NumericError` with the remaining
-    off-diagonal residual if the sweep cap is hit (never observed below
-    ~15 sweeps in practice).
+    largest entry; it is symmetrized exactly before the solve. Raises
+    :class:`NumericError` if LAPACK does not converge.
     """
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("eigh expects a square matrix, got shape %s" % (a.shape,))
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))) if n else 1.0)
-    skew = float(np.max(np.abs(a - a.T))) if n else 0.0
+    if a.shape[0] == 0:
+        return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
+    scale = max(1.0, float(np.max(np.abs(a))))
+    skew = float(np.max(np.abs(a - a.T)))
     if skew > 1e-9 * scale:
         raise ValidationError(
             "matrix is not symmetric: max |A - A^T| = %.3e exceeds tolerance" % skew
         )
-    a = (a + a.T) / 2.0
-    v = np.eye(n)
-    if n < 2:
-        return EigenDecomposition(np.diag(a).copy(), v)
-
-    off_tol = 4.0 * np.finfo(np.float64).eps * scale
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    sign = 1.0 if theta >= 0.0 else -1.0
-                    t = sign / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged:
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off > off_tol:
-            raise NumericError(
-                "Jacobi sweep failed to converge in %d sweeps; "
-                "off-diagonal residual %.3e" % (max_sweeps, off)
-            )
-
-    eigenvalues = np.diag(a).copy()
+    try:
+        eigenvalues, v = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("eigendecomposition failed: %s" % exc) from exc
     order = np.argsort(-eigenvalues, kind="stable")
     return EigenDecomposition(eigenvalues[order], _canonical_signs(v[:, order].T.copy()))
 

@@ -22,12 +22,12 @@ nets while the factories produce the production sizes.
 """
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import read_binary
 from .errors import DataFormatError, DimensionError, NumericError, StateError
 
 GENERATOR_UNITS = 256
@@ -359,29 +359,22 @@ def load_checkpoint(path):
     The header's sizes are checked against the file size before anything
     is allocated; the three containers view one buffer.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(_CKPT_HEADER.size)
-        if len(head) < _CKPT_HEADER.size:
-            raise DataFormatError("truncated", "checkpoint too short for header")
-        magic, version, in_dim, units, n_identities, k, hidden = _CKPT_HEADER.unpack(head)
-        if magic != CKPT_MAGIC:
-            raise DataFormatError("bad_magic", "bad checkpoint magic %r" % magic)
-        if version != CKPT_VERSION:
-            raise DataFormatError("version", "unsupported checkpoint version %d" % version)
+    shapes = []
+
+    def layout(in_dim, units, n_identities, k, hidden):
         if min(in_dim, units, n_identities, hidden) < 1:
             raise DataFormatError("truncated", "checkpoint header declares a zero dimension")
-        shapes = (((in_dim, units), (units,), (units,)), ((units, n_identities), (n_identities,)),
-                  _member_shapes(units, hidden))
+        shapes.extend((((in_dim, units), (units,), (units,)),
+                       ((units, n_identities), (n_identities,)), _member_shapes(units, hidden)))
         g_size, c_size, m_size = (sum(math.prod(s) for s in group) for group in shapes)
-        expected = (g_size + c_size + k * m_size) * 8
-        got = os.fstat(fh.fileno()).st_size - _CKPT_HEADER.size
-        if got != expected:
-            raise DataFormatError("truncated", "checkpoint payload: expected %d bytes, got %d"
-                                  % (expected, got))
-        flat = np.frombuffer(fh.read(expected), dtype="<f8").astype(np.float64)
-    c_end = g_size + c_size
+        return [("<f8", (g_size,)), ("<f8", (c_size,)), ("<f8", (k * m_size,))]
+
+    _, blocks = read_binary(path, _CKPT_HEADER, CKPT_MAGIC, layout, CKPT_VERSION)
+    flat = np.concatenate(blocks)
+    g_end = blocks[0].size
+    c_end = g_end + blocks[1].size
     return (
-        GeneratorParams._view(flat[:g_size], shapes[0]),
-        ClassifierParams._view(flat[g_size:c_end], shapes[1]),
+        GeneratorParams._view(flat[:g_end], shapes[0]),
+        ClassifierParams._view(flat[g_end:c_end], shapes[1]),
         EnsembleParams._view(flat[c_end:], shapes[2]),
     )

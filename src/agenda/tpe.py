@@ -19,8 +19,8 @@ import struct
 
 import numpy as np
 
-from .dataio import DescriptorDataset
-from .errors import DataFormatError, DimensionError, ValidationError
+from .dataio import DescriptorDataset, read_binary
+from .errors import DimensionError, ValidationError
 from .linalg import covariance, eigh
 
 EMBED_DIM = 128
@@ -158,17 +158,6 @@ def save_tpe(w, path):
 
 
 def load_tpe(path):
-    with open(path, "rb") as fh:
-        head = fh.read(_TPE_HEADER.size)
-        if len(head) < _TPE_HEADER.size:
-            raise DataFormatError("truncated", "matrix file too short for header")
-        magic, in_dim, out_dim = _TPE_HEADER.unpack(head)
-        if magic != TPE_MAGIC:
-            raise DataFormatError("bad_magic", "bad matrix magic %r" % magic)
-        payload = fh.read()
-    expected = in_dim * out_dim * 8
-    if len(payload) != expected:
-        raise DataFormatError(
-            "truncated", "matrix payload: expected %d bytes, got %d" % (expected, len(payload))
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(in_dim, out_dim).copy()
+    _, (w,) = read_binary(path, _TPE_HEADER, TPE_MAGIC,
+                          lambda in_dim, out_dim: [("<f8", (in_dim, out_dim))])
+    return w.copy()

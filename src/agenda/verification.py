@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import format_float, write_csv_report
+from .dataio import format_float, split_by_identity, write_csv_report
 from .errors import DataFormatError, DimensionError, ValidationError
+from .probe import probe_eval, probe_train
 
 GROUP_NAMES = {0: "female", 1: "male"}
 DEFAULT_FPRS = (1e-6, 1e-5, 1e-4, 1e-3)
@@ -274,31 +275,25 @@ def write_report_csv(report, path, comments=()):
     write_csv_report(path, lines, ("fpr", "tpr_m", "tpr_f", "bias"), report_rows(report))
 
 
-def ablation_sweep(dataset, configs, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
+def ablation_sweep(dataset, variants, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
                    pair_seed=0, probe_fraction=0.3, probe_seed=0):
-    """Train/transform/evaluate once per config; emits one table row each.
+    """Evaluate each variant of ``dataset``; emits one table row each.
 
-    ``configs`` is a sequence of (label, TrainConfig). All configs share
-    one pair protocol and one identity-disjoint probe split, built on the
-    input dataset (record order is preserved by the transform, so indices
-    stay valid). Returns rows of
+    ``variants`` is an iterable of ``(label, DescriptorDataset)``, each a
+    record-for-record transform of ``dataset`` (same order), so one pair
+    protocol and one identity-disjoint probe split, built on ``dataset``,
+    serve them all. A generator may build each variant on demand; a variant
+    is released before the next one is requested. Returns rows of
     (label, tpr_m, tpr_f, bias, probe_accuracy_pct).
     """
-    from . import probe as probe_mod
-    from . import trainer as trainer_mod
-    from .dataio import split_by_identity
-
     protocol = make_pairs(dataset, impostor_ratio, pair_seed)
     fit_idx, eval_idx = split_by_identity(dataset, probe_fraction, probe_seed)
     rows = []
-    for label, config in configs:
-        gen, _, _, _ = trainer_mod.train(dataset, config)
-        transformed = trainer_mod.transform(gen, dataset)
-        report = evaluate(transformed, protocol, (fpr,))
-        model = probe_mod.probe_train(transformed.subset(fit_idx))
-        probe_report = probe_mod.probe_eval(
-            model, transformed.subset(eval_idx), train_size=len(fit_idx)
-        )
+    for label, variant in variants:
+        report = evaluate(variant, protocol, (fpr,))
+        model = probe_train(variant.subset(fit_idx))
+        probe_report = probe_eval(model, variant.subset(eval_idx), train_size=len(fit_idx))
+        del variant
         rows.append(
             (
                 label,

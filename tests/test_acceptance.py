@@ -448,11 +448,13 @@ class TestCriterion8LambdaTrends:
         for seed in (81, 82, 83):
             ds, _ = synthgen.generate(synthgen.SynthSpec(seed=seed))
             base = dataclasses.replace(trainer.TrainConfig(), k=5, t_ep=None, seed=seed)
-            configs = [
-                ("lam=%g" % lam, dataclasses.replace(base, lam=lam)) for lam in lambdas
-            ]
+            variants = (
+                ("lam=%g" % lam, trainer.transform(
+                    trainer.train(ds, dataclasses.replace(base, lam=lam))[0], ds))
+                for lam in lambdas
+            )
             rows = verification.ablation_sweep(
-                ds, configs, fpr, impostor_ratio=2.0, pair_seed=seed,
+                ds, variants, fpr, impostor_ratio=2.0, pair_seed=seed,
                 probe_fraction=0.3, probe_seed=seed,
             )
             for (label, tpr_m, tpr_f, bias_v, acc), lam in zip(rows, lambdas):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ class TestExitCodes:
         code, _, err = run_cli("eval", "--data", bad, "--report", tmp_path / "r.csv")
         assert code == 3
         assert "bad_magic" in err
+
+    def test_huge_dataset_dim_is_3(self, tmp_path):
+        # dim 2^31 cannot be a numpy record dtype; the header must fail as a format error
+        bad = tmp_path / "dim.fds"
+        bad.write_bytes(struct.pack("<4sIQI", b"FDS1", 1, 0, 0x80000000))
+        code, _, err = run_cli("eval", "--data", bad, "--report", tmp_path / "r.csv")
+        assert code == 3, err
+        assert "kind=too_large" in err and "Traceback" not in err
 
 
 class TestSynth:
@@ -264,6 +273,27 @@ class TestSweepCli:
             if l.startswith("k=")
         ]
         assert labels == ["k=1", "k=2"]
+
+    def test_compare_agenda_row_equals_lambda_row(self, tmp_path):
+        # Both modes share one pair protocol, probe split and row code.
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=16, samples_per_identity=8)
+        cfg = write_tiny_train_cfg(tmp_path / "t.cfg")  # lam=1.0
+        corpus = tmp_path / "c.fds"
+        run_cli("synth", "--spec", spec, "--out", corpus)
+        rows = {}
+        for name, mode in (("compare", ("--compare", "--delta", "0.5")),
+                           ("grid", ("--lambdas", "1.0"))):
+            report = tmp_path / (name + ".csv")
+            code, _, err = run_cli(
+                "sweep", "--data", corpus, "--config", cfg, *mode,
+                "--fpr", "0.05", "--report", report, "--seed", 2,
+            )
+            assert code == 0, err
+            for line in report.read_text().splitlines():
+                if line and not line.startswith("#"):
+                    label, *values = line.split(",")
+                    rows[label] = values
+        assert rows["agenda"] == rows["lam=1.0"]
 
 
 class TestDeterminism:

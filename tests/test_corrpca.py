@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from agenda import corrpca, dataio, linalg, synthgen
-from agenda.errors import DimensionError, ValidationError
+from agenda.errors import DataFormatError, DimensionError, ValidationError
 from conftest import tiny_corpus
 
 
@@ -168,6 +170,32 @@ class TestSubspaceFile:
         proj_a = corrpca.project(sub, ds)
         proj_b = corrpca.project(again, ds)
         assert np.array_equal(proj_a.vectors, proj_b.vectors)
+
+
+    @staticmethod
+    def saved_blob(tmp_path):
+        ds, _ = planted_axis_corpus(n_identities=20, samples=10, dim=10)
+        path = tmp_path / "sub.cpca"
+        corrpca.save_subspace(corrpca.fit(ds, delta=0.1), path)
+        return path, bytearray(path.read_bytes())
+
+    def test_nonfinite_payload_rejected(self, tmp_path):
+        path, blob = self.saved_blob(tmp_path)
+        blob[12:20] = struct.pack("<d", float("inf"))  # mean[0]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as err:
+            corrpca.load_subspace(path)
+        assert err.value.code == "nonfinite"
+
+    def test_flag_byte_other_than_0_and_1_rejected(self, tmp_path):
+        path, blob = self.saved_blob(tmp_path)
+        flags = 12 + 8 * 10
+        first_retained = flags + blob[flags:flags + 10].index(1)
+        blob[first_retained] = 2  # same count of non-zero flags
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as err:
+            corrpca.load_subspace(path)
+        assert err.value.code == "bad_flag"
 
 
 class TestSingleDecomposition:

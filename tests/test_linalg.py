@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agenda import linalg
-from agenda.errors import DimensionError, ValidationError
+from agenda.errors import DimensionError, NumericError, ValidationError
 
 
 def naive_covariance(x):
@@ -87,6 +87,14 @@ class TestEigh:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError):
             linalg.eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericError):
+            linalg.eigh(np.eye(3))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):

@@ -426,6 +426,17 @@ class TestCheckpointHeader:
             nets.load_checkpoint(path)
         assert err.value.code == "truncated"
 
+    def test_nonfinite_payload_rejected(self, tmp_path):
+        path = tmp_path / "n.agnd"
+        nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0),
+                             nets.init_ensemble(1, 0))
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as err:
+            nets.load_checkpoint(path)
+        assert err.value.code == "nonfinite"
+
     def test_zero_dimension_rejected(self, tmp_path):
         path = tmp_path / "z.agnd"
         path.write_bytes(struct.pack("<4sIIIIII", b"AGND", 1, 0, 0, 0, 0, 0))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,14 @@ class TestMatrixFile:
         with pytest.raises(DataFormatError) as err:
             tpe.load_tpe(path)
         assert err.value.code == "truncated"
+
+    def test_nonfinite_payload_rejected(self, tmp_path):
+        ds, _ = tiny_corpus()
+        path = tmp_path / "n.tpe"
+        tpe.save_tpe(tpe.tpe_train(ds, repeats=1, iterations=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[12:20] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as err:
+            tpe.load_tpe(path)
+        assert err.value.code == "nonfinite"
