@@ -10,14 +10,15 @@ Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
 violated invariant or numeric failure. Failures print a single
 machine-parseable line to stderr.
 
---threads (or AGENDA_THREADS) caps worker parallelism; the numeric core is
-vectorized in-process, so results never depend on it. It is recorded in
-the manifest.
+--threads (or AGENDA_THREADS) is recorded in the manifest, not applied.
+Checkpoint bytes can depend on the BLAS thread count, which comes from the
+environment (OPENBLAS_NUM_THREADS and the like).
 """
 
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -49,16 +50,27 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="override the seed used by every stochastic component")
     sub.add_argument("--threads", type=int, default=None,
-                     help="cap worker parallelism (default: available cores, "
-                          "or AGENDA_THREADS); results are independent of it")
+                     help="recorded in the manifest, not applied (default: "
+                          "AGENDA_THREADS, or the available cores)")
     sub.add_argument("--manifest", default=None,
                      help="manifest path (default: <primary output>.manifest.json)")
 
 
-def _parse_float_list(text, flag):
+def _finite_float(text):
+    """``float`` for option values, refusing nan and inf."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("%r is not a finite number" % text)
+    return value
+
+
+def _parse_list(text, flag, convert=_finite_float):
+    try:
+        values = [convert(part) for part in text.split(",") if part.strip()]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValidationError("%s: %s" % (flag, exc))
     if not values:
         raise ValidationError("%s needs at least one value" % flag)
@@ -82,7 +94,7 @@ def _write_manifest(args, subcommand, options, inputs, outputs, seed, started):
         "inputs": list(inputs),
         "outputs": list(outputs),
         "seed": seed,
-        "threads": args.threads if args.threads is not None else _default_threads(),
+        "threads": args.threads,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -141,7 +153,7 @@ def _cmd_corrpca(args):
         if args.spectrum:
             rows = [
                 (idx, "%r" % ev, "%r" % corr)
-                for idx, ev, corr in corrpca.correlation_spectrum(dataset, subspace)
+                for idx, ev, corr in corrpca.correlation_spectrum(subspace)
             ]
             comments = _comment_block(
                 "corrpca", args.seed,
@@ -181,7 +193,7 @@ def _cmd_probe(args):
         train_set = read_dataset(args.train)
         test_set = read_dataset(args.test)
         inputs = [args.train, args.test]
-    model = probe.probe_train(train_set, args.epochs, args.rate, args.l2, seed)
+    model = probe.probe_train(train_set, args.epochs, args.rate, args.l2)
     report = probe.probe_eval(model, test_set, train_size=train_set.n)
     options = [("epochs", args.epochs), ("rate", args.rate), ("l2", args.l2),
                ("standardized", "per-dimension z-score from the training split")]
@@ -202,7 +214,7 @@ def _cmd_eval(args):
     started = time.monotonic()
     seed = args.seed if args.seed is not None else 0
     dataset = read_dataset(args.data)
-    fprs = _parse_float_list(args.fprs, "--fprs")
+    fprs = _parse_list(args.fprs, "--fprs")
     if args.pairs:
         protocol = verification.read_pairs_csv(args.pairs, dataset)
         pair_source = [("pairs", args.pairs)]
@@ -275,13 +287,15 @@ def _cmd_sweep(args):
         options += [("mode", "compare"), ("delta", args.delta)]
     else:
         if args.lambdas:
-            values = _parse_float_list(args.lambdas, "--lambdas")
+            values = _parse_list(args.lambdas, "--lambdas")
             configs = [("lam=%s" % v, dataclasses.replace(base, lam=v)) for v in values]
             options.append(("lambdas", args.lambdas))
         else:
-            values = [int(v) for v in _parse_float_list(args.ks, "--ks")]
+            values = _parse_list(args.ks, "--ks", int)
             configs = [("k=%d" % v, dataclasses.replace(base, k=v, t_ep=None)) for v in values]
             options.append(("ks", args.ks))
+        for _, config in configs:  # fail before the first grid point trains
+            config.validate()
         variants = ((label, _trained(dataset, config)) for label, config in configs)
     table = verification.ablation_sweep(
         dataset, variants, args.fpr, args.impostor_ratio, seed, args.probe_fraction, seed,
@@ -333,7 +347,7 @@ def build_parser():
 
     p = subs.add_parser("corrpca", help="fit or apply the eigenspace-removal baseline")
     p.add_argument("--fit", help="dataset to fit the subspace on")
-    p.add_argument("--delta", type=float, default=corrpca.DEFAULT_DELTA,
+    p.add_argument("--delta", type=_finite_float, default=corrpca.DEFAULT_DELTA,
                    help="remove eigenvectors with |spearman| >= delta (default %(default)s)")
     p.add_argument("--apply", help="dataset to project with --subspace")
     p.add_argument("--subspace", help="subspace file produced by --fit")
@@ -346,11 +360,11 @@ def build_parser():
     p.add_argument("--train", help="training dataset (identity-disjoint from --test)")
     p.add_argument("--test", help="evaluation dataset")
     p.add_argument("--data", help="single dataset; split identity-disjoint internally")
-    p.add_argument("--test-fraction", type=float, default=0.3,
+    p.add_argument("--test-fraction", type=_finite_float, default=0.3,
                    help="heldout fraction for --data mode (default %(default)s)")
     p.add_argument("--epochs", type=int, default=probe.DEFAULT_EPOCHS)
-    p.add_argument("--rate", type=float, default=probe.DEFAULT_RATE)
-    p.add_argument("--l2", type=float, default=probe.DEFAULT_L2)
+    p.add_argument("--rate", type=_finite_float, default=probe.DEFAULT_RATE)
+    p.add_argument("--l2", type=_finite_float, default=probe.DEFAULT_L2)
     p.add_argument("--report", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_probe)
@@ -358,7 +372,8 @@ def build_parser():
     p = subs.add_parser("eval", help="group-wise verification TPR@FPR and bias")
     p.add_argument("--data", required=True)
     p.add_argument("--pairs", help="protocol CSV (index_a,index_b,genuine); generated if omitted")
-    p.add_argument("--impostor-ratio", type=float, default=verification.DEFAULT_IMPOSTOR_RATIO,
+    p.add_argument("--impostor-ratio", type=_finite_float,
+                   default=verification.DEFAULT_IMPOSTOR_RATIO,
                    help="impostor pairs per genuine pair when generating (default %(default)s)")
     p.add_argument("--fprs", default="1e-6,1e-5,1e-4,1e-3",
                    help="comma-separated FPR targets (default %(default)s)")
@@ -373,7 +388,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="matrix file (train) or dataset (apply)")
     p.add_argument("--repeats", type=int, default=tpe.DEFAULT_REPEATS)
     p.add_argument("--iterations", type=int, default=tpe.DEFAULT_ITERATIONS)
-    p.add_argument("--rate", type=float, default=tpe.DEFAULT_RATE)
+    p.add_argument("--rate", type=_finite_float, default=tpe.DEFAULT_RATE)
     p.add_argument("--batch", type=int, default=tpe.DEFAULT_BATCH)
     _add_common(p)
     p.set_defaults(func=_cmd_tpe)
@@ -385,12 +400,13 @@ def build_parser():
     p.add_argument("--ks", help="comma-separated ensemble sizes to sweep")
     p.add_argument("--compare", action="store_true",
                    help="compare original vs corrpca vs agenda instead of a grid")
-    p.add_argument("--delta", type=float, default=corrpca.DEFAULT_DELTA,
+    p.add_argument("--delta", type=_finite_float, default=corrpca.DEFAULT_DELTA,
                    help="corrpca threshold in compare mode (default %(default)s)")
-    p.add_argument("--fpr", type=float, default=1e-3,
+    p.add_argument("--fpr", type=_finite_float, default=1e-3,
                    help="operating FPR for the table (default %(default)s)")
-    p.add_argument("--impostor-ratio", type=float, default=verification.DEFAULT_IMPOSTOR_RATIO)
-    p.add_argument("--probe-fraction", type=float, default=0.3)
+    p.add_argument("--impostor-ratio", type=_finite_float,
+                   default=verification.DEFAULT_IMPOSTOR_RATIO)
+    p.add_argument("--probe-fraction", type=_finite_float, default=0.3)
     p.add_argument("--report", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
@@ -404,9 +420,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.threads is None:
-        args.threads = _default_threads()
     try:
+        if args.threads is None:
+            args.threads = _default_threads()
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
         return args.func(args)

@@ -56,7 +56,10 @@ class CorrSubspace:
         return self.retained_vectors.shape[0]
 
 
-def _eigen_correlations(dataset):
+def fit(dataset, delta=DEFAULT_DELTA):
+    """Fit the removal on ``dataset`` keeping eigenvectors with |corr| < delta."""
+    if not 0.0 < delta <= 1.0:
+        raise ValidationError("delta must be in (0, 1]")
     if len(np.unique(dataset.attributes)) < 2:
         raise ValidationError("fit needs both attribute values present")
     cov, mean = covariance(dataset.vectors)
@@ -71,14 +74,6 @@ def _eigen_correlations(dataset):
         warnings.simplefilter("ignore", DegenerateInputWarning)
         for j in range(dataset.dim):
             corrs[j] = spearman(projections[:, j], labels)
-    return decomp, corrs, mean
-
-
-def fit(dataset, delta=DEFAULT_DELTA):
-    """Fit the removal on ``dataset`` keeping eigenvectors with |corr| < delta."""
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError("delta must be in (0, 1]")
-    decomp, corrs, mean = _eigen_correlations(dataset)
     retained = np.abs(corrs) < delta
     if not retained.any():
         raise ValidationError("delta=%g removes every eigenvector" % delta)
@@ -108,19 +103,10 @@ def project(subspace, dataset):
     )
 
 
-def correlation_spectrum(dataset, subspace=None):
-    """Per-eigenvector (index, eigenvalue, |corr|) rows, eigenvalue-descending.
-
-    Given a ``subspace`` fitted on ``dataset``, the rows come from its fit
-    records instead of a second decomposition of the same covariance.
-    """
-    if subspace is not None and subspace.records is not None:
-        return [(r.index, r.eigenvalue, abs(r.correlation)) for r in subspace.records]
-    decomp, corrs, _ = _eigen_correlations(dataset)
-    return [
-        (j, float(decomp.eigenvalues[j]), float(abs(corrs[j])))
-        for j in range(dataset.dim)
-    ]
+def correlation_spectrum(subspace):
+    """Per-eigenvector (index, eigenvalue, |corr|) rows, eigenvalue-descending,
+    from the fit records of a ``subspace`` returned by :func:`fit`."""
+    return [(r.index, r.eigenvalue, abs(r.correlation)) for r in subspace.records]
 
 
 def save_subspace(subspace, path):

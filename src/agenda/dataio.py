@@ -14,6 +14,7 @@ package writes this one format, so stages compose on the CLI regardless of
 where a dataset came from.
 """
 
+import dataclasses
 import math
 import os
 import struct
@@ -194,8 +195,7 @@ def split_by_identity(dataset, heldout_fraction, seed):
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise ValidationError("heldout_fraction must be in (0, 1)")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = np.random.Generator(np.random.Philox(seed))
     ids = np.unique(dataset.identities)
     if len(ids) < 2:
         raise ValidationError("need at least 2 identities to split")
@@ -232,11 +232,13 @@ def read_kv_config(path):
     return values
 
 
-def coerce_kv(values, fields):
-    """Coerce string config values to the types in ``fields`` (name -> type).
+def coerce_kv(values, cls):
+    """Coerce string config values to the field types of dataclass ``cls``.
 
-    Unknown keys raise so typos in config files fail loudly.
+    Unknown keys raise so typos in config files fail loudly, and so do
+    float values that are not finite.
     """
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
     out = {}
     for key, raw in values.items():
         if key not in fields:
@@ -245,12 +247,11 @@ def coerce_kv(values, fields):
             )
         typ = fields[key]
         try:
-            if typ is bool:
-                out[key] = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                out[key] = typ(raw)
+            out[key] = typ(raw)
         except ValueError as exc:
             raise ValidationError("config key %r: %s" % (key, exc)) from exc
+        if typ is float and not math.isfinite(out[key]):
+            raise ValidationError("config key %r: %r is not finite" % (key, raw))
     return out
 
 

@@ -63,13 +63,16 @@ def eigh(a):
 
     Input must be square and symmetric within ``1e-9`` relative to its
     largest entry; it is symmetrized exactly before the solve. Raises
-    :class:`NumericError` if LAPACK does not converge.
+    :class:`NumericError` for non-finite input or if LAPACK does not
+    converge.
     """
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("eigh expects a square matrix, got shape %s" % (a.shape,))
     if a.shape[0] == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
+    if not np.all(np.isfinite(a)):
+        raise NumericError("eigh input has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     skew = float(np.max(np.abs(a - a.T)))
     if skew > 1e-9 * scale:

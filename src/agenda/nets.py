@@ -89,10 +89,6 @@ class DiscriminatorParams(_Params):
     FIELDS = ("w1", "b1", "w2", "b2")  # (units, hidden), (hidden,), (hidden, 2), (2,)
 
 
-def _member_shapes(units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
-    return ((units, hidden), (hidden,), (hidden, 2), (2,))
-
-
 class EnsembleParams(_Params):
     """k discriminators in one member-major buffer.
 
@@ -104,9 +100,7 @@ class EnsembleParams(_Params):
     STACKED = True
 
     def __init__(self, members):
-        members = list(members)
-        shapes = members[0].shapes if members else _member_shapes()
-        self._bind(np.concatenate([np.empty(0)] + [m.flat for m in members]), shapes)
+        self._bind(np.concatenate([m.flat for m in members]), members[0].shapes)
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -117,8 +111,7 @@ def _glorot(rng, fan_in, fan_out, shape):
 def _rng_of(seed):
     if isinstance(seed, np.random.Generator):
         return seed
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def init_generator(in_dim, seed, units=GENERATOR_UNITS):
@@ -290,6 +283,11 @@ def param_items(params):
     return [(name, getattr(params, name)) for name in params.FIELDS]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam accumulators for one parameter container.
@@ -300,9 +298,6 @@ class AdamState:
     """
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     buffers: np.ndarray = None
 
@@ -311,8 +306,8 @@ def adam_step(state, params, grads):
     """One Adam update, mutating ``params`` and ``state`` in place."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for (name, p), (_, g) in zip(param_items(params), param_items(grads)):
         if p.shape != g.shape:
             raise DimensionError("gradient shape mismatch for block %r" % name)
@@ -326,12 +321,12 @@ def adam_step(state, params, grads):
     # In place, with the operations and their order of the textbook form
     # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
     # p -= lr (m / bc1) / sqrt(v / bc2 + eps).
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=s)
-    v *= state.beta2
-    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=s), g, out=s)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
     np.multiply(np.divide(m, bc1, out=s), state.lr, out=s)
-    np.sqrt(np.add(np.divide(v, bc2, out=r), state.eps, out=r), out=r)
+    np.sqrt(np.add(np.divide(v, bc2, out=r), ADAM_EPS, out=r), out=r)
     p -= np.divide(s, r, out=s)
     return params, state
 
@@ -365,7 +360,8 @@ def load_checkpoint(path):
         if min(in_dim, units, n_identities, hidden) < 1:
             raise DataFormatError("truncated", "checkpoint header declares a zero dimension")
         shapes.extend((((in_dim, units), (units,), (units,)),
-                       ((units, n_identities), (n_identities,)), _member_shapes(units, hidden)))
+                       ((units, n_identities), (n_identities,)),
+                       ((units, hidden), (hidden,), (hidden, 2), (2,))))
         g_size, c_size, m_size = (sum(math.prod(s) for s in group) for group in shapes)
         return [("<f8", (g_size,)), ("<f8", (c_size,)), ("<f8", (k * m_size,))]
 

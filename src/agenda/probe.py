@@ -10,8 +10,8 @@ Optimization is full-batch gradient descent on the L2-regularized binary
 cross-entropy. The loss is convex, so the optimizer settings only affect
 how close we land to the unique optimum; the defaults (500 epochs, rate
 0.1, L2 1e-4) are recorded in every report. Training is deterministic
-(zero initialization); the seed parameter is carried through to reports
-for provenance.
+(zero initialization) and draws no random numbers; a seed only chooses
+the identity-disjoint split that the caller makes.
 """
 
 from dataclasses import dataclass
@@ -40,7 +40,7 @@ class ProbeReport:
     test_size: int
 
 
-def probe_train(dataset, epochs=DEFAULT_EPOCHS, rate=DEFAULT_RATE, l2=DEFAULT_L2, seed=0):
+def probe_train(dataset, epochs=DEFAULT_EPOCHS, rate=DEFAULT_RATE, l2=DEFAULT_L2):
     """Fit the probe on ``dataset``; caller is responsible for keeping the
     evaluation split identity-disjoint from this one."""
     y = dataset.attributes.astype(np.float64)

@@ -71,8 +71,7 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path):
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        return cls(**coerce_kv(read_kv_config(path), types))
+        return cls(**coerce_kv(read_kv_config(path), cls))
 
 
 def _unit(vec):

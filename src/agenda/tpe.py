@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from .dataio import DescriptorDataset, read_binary
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NumericError, ValidationError
 from .linalg import covariance, eigh
 
 EMBED_DIM = 128
@@ -79,38 +79,33 @@ def principal_axes(dataset):
     return eigh(cov)
 
 
-def init_matrix(dataset, seed, embed_dim=EMBED_DIM, decomp=None):
+def init_matrix(dataset, seed, decomp):
     """Top principal directions as columns; seeded small noise pads the rest.
 
-    ``decomp`` is ``principal_axes(dataset)``, computed here when omitted.
+    ``decomp`` is ``principal_axes(dataset)``.
     """
-    rng = np.random.Generator(np.random.Philox(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ))
-    if decomp is None:
-        decomp = principal_axes(dataset)
-    keep = min(dataset.dim, embed_dim)
-    w = np.zeros((dataset.dim, embed_dim))
+    rng = np.random.Generator(np.random.Philox(seed))
+    keep = min(dataset.dim, EMBED_DIM)
+    w = np.zeros((dataset.dim, EMBED_DIM))
     w[:, :keep] = decomp.eigenvectors[:keep].T
-    if keep < embed_dim:
+    if keep < EMBED_DIM:
         w[:, keep:] = rng.normal(
-            scale=0.01 / np.sqrt(dataset.dim), size=(dataset.dim, embed_dim - keep)
+            scale=0.01 / np.sqrt(dataset.dim), size=(dataset.dim, EMBED_DIM - keep)
         )
     return w
 
 
-def tpe_train_single(dataset, iterations=DEFAULT_ITERATIONS, rate=DEFAULT_RATE,
-                     batch=DEFAULT_BATCH, seed=0, decomp=None):
-    """One SGD run from the PCA warm start; fully determined by ``seed``.
-
-    ``decomp`` passes a shared ``principal_axes(dataset)`` to ``init_matrix``.
+def tpe_train_single(dataset, decomp, iterations=DEFAULT_ITERATIONS, rate=DEFAULT_RATE,
+                     batch=DEFAULT_BATCH, seed=0):
+    """One SGD run from the PCA warm start ``decomp`` (``principal_axes(dataset)``);
+    fully determined by ``seed``. Raises :class:`NumericError` if it diverges.
     """
-    if iterations < 0 or batch < 1 or rate <= 0:
+    if iterations < 0 or batch < 1 or not rate > 0:
         raise ValidationError("iterations >= 0, batch >= 1 and rate > 0 required")
     sampler = _TripletSampler(dataset)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     ss_init, ss_triplets = ss.spawn(2)
-    w = init_matrix(dataset, ss_init, decomp=decomp)
+    w = init_matrix(dataset, ss_init, decomp)
     rng = np.random.Generator(np.random.Philox(ss_triplets))
     x = dataset.vectors
     for _ in range(iterations):
@@ -123,6 +118,8 @@ def tpe_train_single(dataset, iterations=DEFAULT_ITERATIONS, rate=DEFAULT_RATE,
         d_ep = -coef * ea
         d_en = coef * ea
         w -= rate * (a.T @ d_ea + p.T @ d_ep + n.T @ d_en)
+    if not np.all(np.isfinite(w)):
+        raise NumericError("triplet SGD diverged to a non-finite matrix at rate %r" % rate)
     return w
 
 
@@ -136,7 +133,7 @@ def tpe_train(dataset, repeats=DEFAULT_REPEATS, iterations=DEFAULT_ITERATIONS,
     total = np.zeros((dataset.dim, EMBED_DIM))
     for r in range(repeats):
         child = np.random.SeedSequence(seed, spawn_key=(r,))
-        total += tpe_train_single(dataset, iterations, rate, batch, child, decomp)
+        total += tpe_train_single(dataset, decomp, iterations, rate, batch, child)
     return total / repeats
 
 

@@ -88,7 +88,7 @@ class TrainConfig:
         for name, rate in (("alpha1", self.alpha1), ("alpha2", self.alpha2), ("alpha3", self.alpha3)):
             if not rate > 0:
                 raise ValidationError("%s must be > 0" % name)
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValidationError("lam must be >= 0")
         if not 0.5 < self.g_thresh <= 1.0:
             raise ValidationError("g_thresh must be in (0.5, 1]")
@@ -98,14 +98,8 @@ class TrainConfig:
             raise ValidationError("validation_fraction must be in (0, 1)")
 
     @classmethod
-    def field_types(cls):
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        types["t_ep"] = int
-        return types
-
-    @classmethod
     def from_file(cls, path):
-        return cls(**coerce_kv(read_kv_config(path), cls.field_types()))
+        return cls(**coerce_kv(read_kv_config(path), cls))
 
     def to_kv(self):
         pairs = []
@@ -284,7 +278,12 @@ def train(dataset, config, stage_hook=None):
     ss_gen, ss_cls = init_mc.spawn(2)
     gen = nets.init_generator(train_ds.dim, ss_gen)
     cls = nets.init_classifier(len(class_ids), ss_cls)
-    ensemble = nets.EnsembleParams([])
+
+    def fresh_ensemble(episode):
+        ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, episode // t_ep))
+        return nets.init_ensemble(config.k, ss_e)
+
+    ensemble = fresh_ensemble(0)
     log = TrainLog()
     f_train = None  # generator output over the split while the generator is frozen
 
@@ -322,11 +321,10 @@ def train(dataset, config, stage_hook=None):
 
         if episode % t_ep == 0:
             with stage_span(episode, 2) as stream:
-                ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, episode // t_ep))
-                fresh = nets.init_ensemble(config.k, ss_e, units=gen.weight.shape[1])
-                # Refill the one ensemble object, so a hook that keeps it
-                # sees every later update.
-                ensemble._bind(fresh.flat, fresh.shapes)
+                if episode > 0:
+                    # Refill the one ensemble buffer, so a hook that keeps
+                    # the object sees every later update.
+                    ensemble.flat[:] = fresh_ensemble(episode).flat
                 adam = nets.AdamState(lr=config.alpha2)  # one state for the whole stack
                 for n in range(config.t_gtrain):
                     idx = next(stream)
@@ -354,7 +352,7 @@ def train(dataset, config, stage_hook=None):
     return gen, cls, ensemble, log
 
 
-def transform(gen, dataset, chunk=GENERATOR_CHUNK):
+def transform(gen, dataset):
     """Re-embed every record through the generator; labels pass through."""
     if dataset.dim != gen.weight.shape[0]:
         raise ValidationError(
@@ -364,5 +362,5 @@ def transform(gen, dataset, chunk=GENERATOR_CHUNK):
     return DescriptorDataset(
         dataset.identities.copy(),
         dataset.attributes.copy(),
-        _generate(gen, dataset.vectors, chunk),
+        _generate(gen, dataset.vectors),
     )

@@ -130,6 +130,8 @@ def read_pairs_csv(path, dataset):
     index_a, index_b, genuine = raw[:, 0], raw[:, 1], raw[:, 2]
     if index_a.min() < 0 or index_a.max() >= dataset.n or index_b.min() < 0 or index_b.max() >= dataset.n:
         raise ValidationError("pair index out of range for dataset of %d records" % dataset.n)
+    if not np.isin(genuine, (0, 1)).all():
+        raise DataFormatError("bad_value", "pair protocol %s: genuine cells must be 0 or 1" % path)
     protocol = PairProtocol(
         index_a, index_b, genuine.astype(bool), dataset.attributes[index_a]
     )

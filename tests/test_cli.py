@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from agenda import dataio
+from agenda import cli, dataio, probe, tpe, trainer, verification
 from conftest import run_cli, tiny_corpus
 
 
@@ -66,6 +66,88 @@ class TestExitCodes:
         code, _, err = run_cli("eval", "--data", bad, "--report", tmp_path / "r.csv")
         assert code == 3, err
         assert "kind=too_large" in err and "Traceback" not in err
+
+
+# Each float option, under every subcommand that has it, and the list options
+# that are parsed after the dataset is read. Arguments other than the one
+# under test are valid, so the value under test is what must fail.
+FLOAT_FLAGS = [
+    (("eval", "--data", "{data}", "--report", "{out}"), "--impostor-ratio", 2),
+    (("eval", "--data", "{data}", "--report", "{out}"), "--fprs", 4),
+    (("probe", "--data", "{data}", "--report", "{out}"), "--test-fraction", 2),
+    (("probe", "--data", "{data}", "--report", "{out}"), "--rate", 2),
+    (("probe", "--data", "{data}", "--report", "{out}"), "--l2", 2),
+    (("tpe", "--train", "{data}", "--out", "{out}"), "--rate", 2),
+    (("corrpca", "--fit", "{data}", "--out", "{out}"), "--delta", 2),
+    (("sweep", "--data", "{data}", "--compare", "--report", "{out}"), "--delta", 2),
+    (("sweep", "--data", "{data}", "--compare", "--report", "{out}"), "--fpr", 2),
+    (("sweep", "--data", "{data}", "--compare", "--report", "{out}"), "--impostor-ratio", 2),
+    (("sweep", "--data", "{data}", "--compare", "--report", "{out}"), "--probe-fraction", 2),
+    (("sweep", "--data", "{data}", "--report", "{out}"), "--lambdas", 4),
+    (("sweep", "--data", "{data}", "--report", "{out}"), "--ks", 4),
+]
+CONTRACT_CASES = [
+    # flag=value, so that "-inf" is not read as an option
+    pytest.param(base + ("%s=%s" % (flag, value),), {}, code,
+                 id="%s %s=%s" % (base[0], flag, value))
+    for base, flag, code in FLOAT_FLAGS for value in ("nan", "inf", "-inf")
+] + [
+    pytest.param(("sweep", "--data", "{data}", "--report", "{out}", "--ks", "2.7"), {}, 4,
+                 id="sweep --ks 2.7"),
+    pytest.param(("sweep", "--data", "{data}", "--report", "{out}", "--ks", "2,0"), {}, 4,
+                 id="sweep --ks 2,0"),
+    pytest.param(("train", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"), {}, 4,
+                 id="train lam=nan"),
+    pytest.param(("synth", "--out", "{out}"), {"AGENDA_THREADS": "abc"}, 4,
+                 id="AGENDA_THREADS=abc"),
+]
+
+
+class TestNoTraceback:
+    """Bad numbers from outside fail with a usage error (2) or one error
+    line (4) before any training, probe fit or SGD step runs."""
+
+    @pytest.mark.parametrize("argv, env, code", CONTRACT_CASES)
+    def test_rejected_before_any_training(self, tmp_path, monkeypatch, capsys, argv, env, code):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        for module, name in ((trainer, "train"), (tpe, "tpe_train"),
+                             (probe, "probe_train"), (verification, "probe_train")):
+            monkeypatch.setattr(module, name, no_training)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        cfg = write_tiny_train_cfg(tmp_path / "t.cfg", lam="nan")
+        paths = dict(data=data, cfg=cfg, out=tmp_path / "out")
+        assert cli.main([a.format(**paths) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 4:
+            assert err.count("\n") == 1 and err.startswith("agenda: error exit=4")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_tpe_is_4_and_writes_no_matrix(self, tmp_path, capsys):
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        matrix = tmp_path / "w.tpe"
+        code = cli.main(["tpe", "--train", str(data), "--out", str(matrix), "--rate", "1e12",
+                         "--repeats", "1", "--iterations", "50"])
+        assert code == 4
+        assert "kind=NumericError" in capsys.readouterr().err
+        assert not matrix.exists()
+
+    def test_pairs_genuine_cell_other_than_0_or_1_is_3(self, tmp_path, capsys):
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)  # records 0 and 1 share an identity
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("index_a,index_b,genuine\n0,1,7\n")
+        code = cli.main(["eval", "--data", str(data), "--pairs", str(pairs),
+                         "--report", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert "kind=bad_value" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -122,10 +122,15 @@ class TestProject:
             corrpca.project(sub, other)
 
 
+def spectrum(ds):
+    # delta 1 keeps every eigenvector, so any corpus fits
+    return corrpca.correlation_spectrum(corrpca.fit(ds, delta=1.0))
+
+
 class TestSpectrum:
     def test_planted_axis_has_single_high_entry(self):
         ds, _ = planted_axis_corpus(n_identities=50, samples=40, dim=32)
-        rows = corrpca.correlation_spectrum(ds)
+        rows = spectrum(ds)
         high = [r for r in rows if r[2] > 0.5]
         assert len(high) == 1
 
@@ -138,7 +143,7 @@ class TestSpectrum:
             (np.arange(5000) % 2).astype(np.uint8),
             rng.normal(size=(5000, 64)),
         )
-        rows = corrpca.correlation_spectrum(ds)
+        rows = spectrum(ds)
         assert max(r[2] for r in rows) < 0.2
         # permutation null: max |spearman| over dims for shuffled labels
         labels = ds.attributes.astype(float)
@@ -151,7 +156,7 @@ class TestSpectrum:
 
     def test_row_count_and_order(self):
         ds, _ = planted_axis_corpus(n_identities=10, samples=10, dim=14)
-        rows = corrpca.correlation_spectrum(ds)
+        rows = spectrum(ds)
         assert len(rows) == 14
         eigenvalues = [r[1] for r in rows]
         assert eigenvalues == sorted(eigenvalues, reverse=True)
@@ -202,8 +207,15 @@ class TestSingleDecomposition:
     def test_spectrum_from_fit_records_equals_recomputed(self, monkeypatch):
         ds, _ = planted_axis_corpus(n_identities=12, samples=8, dim=10)
         sub = corrpca.fit(ds, delta=0.3)
-        recomputed = corrpca.correlation_spectrum(ds)
+        cov, mean = linalg.covariance(ds.vectors)
+        decomp = linalg.eigh(cov)
+        projections = (ds.vectors - mean) @ decomp.eigenvectors.T
+        labels = ds.attributes.astype(float)
+        recomputed = [
+            (j, float(decomp.eigenvalues[j]), abs(linalg.spearman(projections[:, j], labels)))
+            for j in range(ds.dim)
+        ]
         calls = []
         monkeypatch.setattr(corrpca, "eigh", lambda *a: calls.append(a))
-        assert corrpca.correlation_spectrum(ds, sub) == recomputed
+        assert corrpca.correlation_spectrum(sub) == recomputed
         assert calls == []

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -137,18 +138,30 @@ class TestSplit:
             dataio.split_by_identity(small_dataset(), 1.5, 0)
 
 
+@dataclass
+class KvFields:
+    alpha: float = 0.0
+    n: int = 0
+    name_ok: int = 0
+
+
 class TestKvConfig:
     def test_parse_and_coerce(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\nalpha=0.5\nn=3   # trailing\n\nname_ok=1\n")
         raw = dataio.read_kv_config(path)
         assert raw == {"alpha": "0.5", "n": "3", "name_ok": "1"}
-        typed = dataio.coerce_kv(raw, {"alpha": float, "n": int, "name_ok": int})
+        typed = dataio.coerce_kv(raw, KvFields)
         assert typed == {"alpha": 0.5, "n": 3, "name_ok": 1}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
-            dataio.coerce_kv({"bogus": "1"}, {"real": int})
+            dataio.coerce_kv({"bogus": "1"}, KvFields)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_float_rejected(self, raw):
+        with pytest.raises(ValidationError, match="not finite"):
+            dataio.coerce_kv({"alpha": raw}, KvFields)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -88,6 +88,12 @@ class TestEigh:
         with pytest.raises(ValidationError):
             linalg.eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_numeric_error(self, bad):
+        # a NaN skew compares false against the symmetry tolerance
+        with pytest.raises(NumericError):
+            linalg.eigh(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_lapack_failure_is_numeric_error(self, monkeypatch):
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

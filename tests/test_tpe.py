@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agenda import dataio, tpe
-from agenda.errors import DataFormatError, DimensionError, ValidationError
+from agenda.errors import DataFormatError, DimensionError, NumericError, ValidationError
 from conftest import tiny_corpus
 
 
@@ -12,22 +12,27 @@ class TestTraining:
     def test_zero_iterations_returns_init(self):
         ds, _ = tiny_corpus()
         w = tpe.tpe_train(ds, repeats=1, iterations=0, seed=4)
-        init = tpe.init_matrix(ds, np.random.SeedSequence(4, spawn_key=(0,)).spawn(2)[0])
+        init = tpe.init_matrix(ds, np.random.SeedSequence(4, spawn_key=(0,)).spawn(2)[0],
+                              tpe.principal_axes(ds))
         assert np.array_equal(w, init)
 
     def test_average_of_logged_repeat_seeds(self):
         ds, _ = tiny_corpus()
         avg = tpe.tpe_train(ds, repeats=3, iterations=5, seed=11)
+        axes = tpe.principal_axes(ds)
         singles = [
-            tpe.tpe_train_single(ds, iterations=5, seed=np.random.SeedSequence(11, spawn_key=(r,)))
+            tpe.tpe_train_single(ds, axes, iterations=5,
+                                 seed=np.random.SeedSequence(11, spawn_key=(r,)))
             for r in range(3)
         ]
         assert np.array_equal(avg, sum(singles) / 3)
 
     def test_repeats_share_one_decomposition(self, monkeypatch):
         ds, _ = tiny_corpus()
+        axes = tpe.principal_axes(ds)
         singles = [
-            tpe.tpe_train_single(ds, iterations=3, seed=np.random.SeedSequence(5, spawn_key=(r,)))
+            tpe.tpe_train_single(ds, axes, iterations=3,
+                                 seed=np.random.SeedSequence(5, spawn_key=(r,)))
             for r in range(3)
         ]
         real, calls = tpe.eigh, []
@@ -53,8 +58,8 @@ class TestTraining:
         rng = np.random.Generator(np.random.Philox(99))
         ia, ip, in_ = sampler.sample(400, rng)
         a, p, n = ds.vectors[ia], ds.vectors[ip], ds.vectors[in_]
-        w0 = tpe.init_matrix(ds, 0)
-        w1 = tpe.tpe_train_single(ds, iterations=800, seed=0)
+        w0 = tpe.init_matrix(ds, 0, tpe.principal_axes(ds))
+        w1 = tpe.tpe_train_single(ds, tpe.principal_axes(ds), iterations=800, seed=0)
         assert tpe.triplet_loss(w1, a, p, n) < tpe.triplet_loss(w0, a, p, n)
 
     def test_no_multi_sample_identity_rejected(self):
@@ -65,14 +70,20 @@ class TestTraining:
             rng.normal(size=(6, 5)),
         )
         with pytest.raises(ValidationError):
-            tpe.tpe_train_single(ds, iterations=1)
+            tpe.tpe_train_single(ds, tpe.principal_axes(ds), iterations=1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_numeric_error(self):
+        ds, _ = tiny_corpus()
+        with pytest.raises(NumericError, match="diverged"):
+            tpe.tpe_train(ds, repeats=1, iterations=50, rate=1e12)
 
     def test_bad_params_rejected(self):
         ds, _ = tiny_corpus()
         with pytest.raises(ValidationError):
             tpe.tpe_train(ds, repeats=0)
         with pytest.raises(ValidationError):
-            tpe.tpe_train_single(ds, iterations=-1)
+            tpe.tpe_train_single(ds, tpe.principal_axes(ds), iterations=-1)
 
 
 class TestApply:
@@ -113,7 +124,7 @@ class TestApply:
 class TestPcaWarmStart:
     def test_init_preserves_cosines_when_dim_small(self):
         ds, _ = tiny_corpus(dim=12)
-        w = tpe.init_matrix(ds, seed=0)
+        w = tpe.init_matrix(ds, 0, tpe.principal_axes(ds))
         a, b = ds.vectors[0], ds.vectors[1]
         ea, eb = a @ w, b @ w
         cos_before = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))

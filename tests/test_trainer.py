@@ -96,6 +96,16 @@ class TestConfig:
             trainer.TrainConfig(lam=-1).validate()
         trainer.TrainConfig().validate()
 
+    def test_nan_lam_rejected(self):
+        with pytest.raises(ValidationError, match="lam"):
+            trainer.TrainConfig(lam=float("nan")).validate()
+
+    def test_non_finite_config_value_rejected_at_load(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("alpha3=inf\n")
+        with pytest.raises(ValidationError, match="alpha3"):
+            trainer.TrainConfig.from_file(path)
+
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config(lam=2.5, k=3)
         path = tmp_path / "train.cfg"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from agenda import dataio, verification
-from agenda.errors import DimensionError, ValidationError
+from agenda.errors import DataFormatError, DimensionError, ValidationError
 from conftest import run_cli, tiny_corpus
 
 
@@ -232,6 +232,16 @@ class TestProtocol:
         assert np.array_equal(protocol.index_a, again.index_a)
         assert np.array_equal(protocol.genuine, again.genuine)
         assert np.array_equal(protocol.group, again.group)
+
+    @pytest.mark.parametrize("cell", ["7", "-1", "2"])
+    def test_genuine_cell_other_than_0_or_1_rejected(self, tmp_path, cell):
+        ds = two_group_dataset(np.random.default_rng(10))
+        same = next(i for i in range(1, ds.n) if ds.identities[i] == ds.identities[0])
+        path = tmp_path / "pairs.csv"
+        path.write_text("index_a,index_b,genuine\n0,%d,%s\n" % (same, cell))
+        with pytest.raises(DataFormatError) as err:
+            verification.read_pairs_csv(path, ds)
+        assert err.value.code == "bad_value"
 
     def test_cross_group_pair_rejected(self):
         rng = np.random.default_rng(12)
