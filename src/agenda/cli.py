@@ -10,16 +10,17 @@ Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
 violated invariant or numeric failure. Failures print a single
 machine-parseable line to stderr.
 
---threads (or AGENDA_THREADS) is recorded in the manifest, not applied.
-Checkpoint bytes can depend on the BLAS thread count, which comes from the
-environment (OPENBLAS_NUM_THREADS and the like).
+``train`` (and every training run of ``sweep``) runs stage 2's member
+groups and stage 3's classifier and discriminator lanes on one worker
+thread per usable core, at most k, with BLAS on one thread whatever
+OPENBLAS_NUM_THREADS says. Its outputs are the same bytes at any core or
+BLAS thread count; the train manifest records both counts.
 """
 
 import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 
@@ -36,22 +37,9 @@ from .nets import load_checkpoint, save_checkpoint
 TPE_LOSS_NOTE = "tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), dot-product scores"
 
 
-def _default_threads():
-    env = os.environ.get("AGENDA_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError("AGENDA_THREADS must be an integer, got %r" % env)
-    return os.cpu_count() or 1
-
-
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="override the seed used by every stochastic component")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="recorded in the manifest, not applied (default: "
-                          "AGENDA_THREADS, or the available cores)")
     sub.add_argument("--manifest", default=None,
                      help="manifest path (default: <primary output>.manifest.json)")
 
@@ -85,7 +73,7 @@ def _comment_block(subcommand, seed, options):
     return lines
 
 
-def _write_manifest(args, subcommand, options, inputs, outputs, seed, started):
+def _write_manifest(args, subcommand, options, inputs, outputs, seed, started, **extra):
     path = args.manifest or (outputs[0] + ".manifest.json")
     payload = {
         "tool_version": __version__,
@@ -94,8 +82,8 @@ def _write_manifest(args, subcommand, options, inputs, outputs, seed, started):
         "inputs": list(inputs),
         "outputs": list(outputs),
         "seed": seed,
-        "threads": args.threads,
         "wall_time_s": round(time.monotonic() - started, 3),
+        **extra,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -128,7 +116,8 @@ def _cmd_train(args):
     log_path = args.log or (args.out + ".log.csv")
     log.write_csv(log_path, _comment_block("train", config.seed, config.to_kv()))
     _write_manifest(args, "train", config.to_kv(), [args.data],
-                    [args.out, log_path], config.seed, started)
+                    [args.out, log_path], config.seed, started,
+                    workers=log.workers, blas_threads=log.blas_threads)
     return 0
 
 
@@ -421,10 +410,6 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.threads is None:
-            args.threads = _default_threads()
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
         return args.func(args)
     except DataFormatError as exc:
         print("agenda: error exit=3 kind=%s message=%s"

@@ -102,6 +102,11 @@ class EnsembleParams(_Params):
     def __init__(self, members):
         self._bind(np.concatenate([m.flat for m in members]), members[0].shapes)
 
+    def member_slice(self, start, stop):
+        """Members ``start``..``stop - 1`` as an ensemble viewing this buffer."""
+        size = self.flat.size // len(self.members)
+        return self._view(self.flat[start * size : stop * size], self.shapes)
+
 
 def _glorot(rng, fan_in, fan_out, shape):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -314,7 +319,9 @@ def adam_step(state, params, grads):
     p, g = params.flat, grads.flat
     if not np.isfinite(g).all():
         name = next(n for n, a in param_items(grads) if not np.isfinite(a).all())
-        raise NumericError("non-finite gradient in parameter block %r" % name)
+        error = NumericError("non-finite gradient in parameter block %r" % name)
+        error.block = name
+        raise error
     if state.buffers is None:
         state.buffers = np.zeros((4, p.size))
     m, v, s, r = state.buffers

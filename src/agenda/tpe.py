@@ -66,13 +66,6 @@ class _TripletSampler:
         return anchor, positive, negative
 
 
-def triplet_loss(w, a, p, n):
-    """Mean -log p over given triplet descriptor blocks."""
-    ea, ep, en = a @ w, p @ w, n @ w
-    d = np.einsum("ij,ij->i", ea, en) - np.einsum("ij,ij->i", ea, ep)
-    return float(np.logaddexp(0.0, d).mean())
-
-
 def principal_axes(dataset):
     """Eigendecomposition of the descriptor covariance (the warm start's source)."""
     cov, _ = covariance(dataset.vectors)
@@ -108,16 +101,19 @@ def tpe_train_single(dataset, decomp, iterations=DEFAULT_ITERATIONS, rate=DEFAUL
     w = init_matrix(dataset, ss_init, decomp)
     rng = np.random.Generator(np.random.Philox(ss_triplets))
     x = dataset.vectors
-    for _ in range(iterations):
-        ia, ip, in_ = sampler.sample(batch, rng)
-        a, p, n = x[ia], x[ip], x[in_]
-        ea, ep, en = a @ w, p @ w, n @ w
-        d = np.einsum("ij,ij->i", ea, en) - np.einsum("ij,ij->i", ea, ep)
-        coef = (1.0 / (1.0 + np.exp(-d)) / batch)[:, None]
-        d_ea = coef * (en - ep)
-        d_ep = -coef * ea
-        d_en = coef * ea
-        w -= rate * (a.T @ d_ea + p.T @ d_ep + n.T @ d_en)
+    # exp(-d) overflows to inf for large margins, the sigmoid's correct
+    # limit; a diverged run is reported once, below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            ia, ip, in_ = sampler.sample(batch, rng)
+            a, p, n = x[ia], x[ip], x[in_]
+            ea, ep, en = a @ w, p @ w, n @ w
+            d = np.einsum("ij,ij->i", ea, en) - np.einsum("ij,ij->i", ea, ep)
+            coef = (1.0 / (1.0 + np.exp(-d)) / batch)[:, None]
+            d_ea = coef * (en - ep)
+            d_ep = -coef * ea
+            d_en = coef * ea
+            w -= rate * (a.T @ d_ea + p.T @ d_ep + n.T @ d_en)
     if not np.all(np.isfinite(w)):
         raise NumericError("triplet SGD diverged to a non-finite matrix at rate %r" % rate)
     return w

@@ -18,11 +18,25 @@ Determinism: every random draw comes from a Philox stream derived from the
 run seed with a fixed spawn key, namespaced below. Batch streams are keyed
 by (episode, stage) so ablations with the same seed consume identical
 batches in matching stages. Adam state is fresh at each stage entry.
+
+Parallelism: work that reads nothing the other part writes runs on two or
+more threads, with the same arithmetic in the same order as on one, so the
+results do not depend on the thread count. Stage 2 splits the members into
+contiguous groups, each trained for all ``t_gtrain`` steps on its own
+thread and Adam state. In stage 3 the classifier lane (forward, loss,
+backward) runs beside the discriminator lane (stacked forward, the
+strongest member's input gradient), and the classifier's Adam step runs
+beside the generator's backward pass and Adam step. ``thread_plan`` picks
+the worker count; BLAS runs on one thread for the length of ``train``.
 """
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,13 +143,11 @@ CSV_COLUMNS = ("episode", "stage", "iteration", "l_class", "l_deb", "l_br", "mem
 @dataclass
 class TrainLog:
     records: list = field(default_factory=list)
+    workers: int = 1  # threads training ran on
+    blas_threads: int = None  # BLAS thread count it ran with; None: the environment's
 
     def append(self, **kw):
         self.records.append(LogRecord(**kw))
-
-    def stage_sequence(self):
-        """(episode, stage, member_k) per logged iteration, for replay checks."""
-        return [(r.episode, r.stage, r.member_k) for r in self.records]
 
     def rows(self):
         for r in self.records:
@@ -204,45 +216,163 @@ def _generate(gen, vectors, chunk=GENERATOR_CHUNK):
     return out
 
 
-def _class_step(gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=None, lam=0.0):
-    """One generator + classifier update (stage 1, or stage 3 with the
-    frozen ``ensemble``); returns the fields of the iteration's log row."""
-    f_out, gcache = nets.generator_forward(gen, x)
+def _classifier_lane(cls, f_out, y_id):
     probs, ccache = nets.classifier_forward(cls, f_out)
     lc = losses.l_class(probs, y_id)
+    cgrads, d_f = nets.classifier_backward(cls, ccache, losses.l_class_grad(probs, y_id))
+    return lc, cgrads, d_f
+
+
+def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=None, lam=0.0):
+    """One generator + classifier update (stage 1, or stage 3 with the
+    frozen ``ensemble``); returns the fields of the iteration's log row.
+
+    In stage 3 the classifier lane runs on ``pool`` beside the
+    discriminator lane; stage 1 has one lane and runs on this thread, as
+    there the hand-offs cost more than the overlap saves. The loss check
+    comes before any parameter moves.
+    """
+    if ensemble is None:
+        pool = _INLINE
+    f_out, gcache = nets.generator_forward(gen, x)
+    classified = pool.submit(_classifier_lane, cls, f_out, y_id)
+    if ensemble is not None:
+        outs, dcache = nets.discriminator_forward(ensemble, f_out)  # all k at once
+        ld, kstar = losses.l_deb([losses.l_a(out) for out in outs])
+        if lam > 0:
+            # Ensemble weights stay frozen; only the input gradient of the
+            # strongest member's confusion term reaches the generator.
+            _, d_f_deb = nets.discriminator_backward(
+                ensemble.members[kstar], nets.member_cache(dcache, kstar),
+                lam * losses.l_a_grad(outs[kstar]), param_grad=False,
+            )
+    lc, cgrads, d_f = classified.result()
     row = dict(l_class=lc.value)
     if ensemble is None:
         _check_finite(lc.value, *where)
     else:
-        outs, dcache = nets.discriminator_forward(ensemble, f_out)  # all k at once
-        ld, kstar = losses.l_deb([losses.l_a(out) for out in outs])
         lbr = losses.l_br(lc, ld, lam)
         _check_finite(lbr.value, *where)
         row.update(l_deb=ld.value, l_br=lbr.value, member_k=kstar)
-    cgrads, d_f = nets.classifier_backward(cls, ccache, losses.l_class_grad(probs, y_id))
-    if ensemble is not None and lam > 0:
-        # Ensemble weights stay frozen; only the input gradient of the
-        # strongest member's confusion term reaches the generator.
-        _, d_f_deb = nets.discriminator_backward(
-            ensemble.members[kstar], nets.member_cache(dcache, kstar),
-            lam * losses.l_a_grad(outs[kstar]), param_grad=False,
-        )
-        d_f = d_f + d_f_deb
+        if lam > 0:
+            d_f = d_f + d_f_deb
+    moved = pool.submit(nets.adam_step, adam_cls, cls, cgrads)
     ggrads, _ = nets.generator_backward(gen, gcache, d_f, input_grad=False)
-    nets.adam_step(adam_gen, gen, ggrads)
-    nets.adam_step(adam_cls, cls, cgrads)
+    nets.adam_step(adam_gen, gen, ggrads)  # its error, if any, is raised first
+    moved.result()
     return row
 
 
 def _discriminator_step(disc, adam, f_out, y_g, where):
-    """One attribute-loss update of one member (stage 4) or of the stacked
-    ensemble (stage 2); generator and classifier stay frozen."""
+    """One attribute-loss update of one member (stage 4) or of a stack of
+    members (stage 2); generator and classifier stay frozen."""
     out, dcache = nets.discriminator_forward(disc, f_out)
     _check_finite(losses.l_g_member(out, y_g).value, *where)
     grads, _ = nets.discriminator_backward(
         disc, dcache, losses.l_g_member_grad(out, y_g), input_grad=False
     )
     nets.adam_step(adam, disc, grads)
+
+
+def _member_group_steps(group, lr, f_train, batches, y_g_all, episode, stop):
+    """Stage 2 for one contiguous group of members, on its own Adam state.
+
+    Returns None, or (iteration, error) for the group's first failed step.
+    Returns early once the ``stop`` event is set.
+    """
+    adam = nets.AdamState(lr=lr)
+    for n, idx in enumerate(batches):
+        if stop.is_set():
+            return None
+        try:
+            _discriminator_step(group, adam, f_train[idx], y_g_all[idx], (2, episode, n))
+        except NumericError as exc:
+            return n, exc
+    return None
+
+
+def _stack_failure(failures):
+    """The error a step over the whole stack raises, given each group's
+    first failure: the earliest iteration's; there the loss check, which
+    runs first, before the gradient check, which names blocks in field order."""
+    def order(failure):
+        n, exc = failure
+        block = getattr(exc, "block", None)
+        return n, -1 if block is None else nets.EnsembleParams.FIELDS.index(block)
+
+    return min(failures, key=order)[1]
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    import glob  # only training needs it
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+def thread_plan(k):
+    """(workers, BLAS threads) for one training run.
+
+    One worker per usable core, at most one per ensemble member, with BLAS
+    on one thread. Without a handle on numpy's BLAS thread count, training
+    runs on one thread and BLAS keeps the environment's count (None).
+    """
+    if _openblas() is None:
+        return 1, None
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(k, cores or 1), 1
+
+
+class _Inline:
+    """The pool of a one-worker run: a submitted call runs at once."""
+
+    def submit(self, fn, *args):
+        # Imported here: concurrent.futures loads logging, which would add
+        # about 7 ms to the start of every command; only training uses it.
+        from concurrent.futures import Future
+
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+_INLINE = _Inline()
+
+
+@contextlib.contextmanager
+def _worker_pool(workers, blas_threads):
+    """``workers - 1`` threads beside the caller, with BLAS at
+    ``blas_threads`` (when not None) until the pool closes."""
+    if blas_threads is not None:
+        get_threads, set_threads = _openblas()
+        previous = get_threads()
+        set_threads(blas_threads)
+    try:
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers - 1) as pool:
+                yield pool
+        else:
+            yield _INLINE
+    finally:
+        if blas_threads is not None:
+            set_threads(previous)
 
 
 def train(dataset, config, stage_hook=None):
@@ -284,7 +414,10 @@ def train(dataset, config, stage_hook=None):
         return nets.init_ensemble(config.k, ss_e)
 
     ensemble = fresh_ensemble(0)
-    log = TrainLog()
+    workers, blas_threads = thread_plan(config.k)
+    groups = [ensemble.member_slice(part[0], part[-1] + 1)  # larger groups first
+              for part in np.array_split(np.arange(config.k), workers)]
+    log = TrainLog(workers=workers, blas_threads=blas_threads)
     f_train = None  # generator output over the split while the generator is frozen
 
     @contextlib.contextmanager
@@ -297,12 +430,12 @@ def train(dataset, config, stage_hook=None):
         if stage_hook is not None:
             stage_hook("end", episode, stage, gen, cls, ensemble)
 
-    def frozen_rows(idx):
+    def frozen():
         # One pass per generator state; stage 4 and the next stage 2 share it.
         nonlocal f_train
         if f_train is None:
             f_train = _generate(gen, train_ds.vectors)
-        return f_train[idx]
+        return f_train
 
     def class_stage(episode, stage, steps, lr, **deb):
         nonlocal f_train
@@ -311,43 +444,58 @@ def train(dataset, config, stage_hook=None):
         with stage_span(episode, stage) as stream:
             for n in range(steps):
                 idx = next(stream)
-                row = _class_step(gen, cls, adam_gen, adam_cls, train_ds.vectors[idx],
+                row = _class_step(pool, gen, cls, adam_gen, adam_cls, train_ds.vectors[idx],
                                   y_id_all[idx], (stage, episode, n), **deb)
                 log.append(episode=episode, stage=stage, iteration=n, **row)
 
-    for episode in range(config.n_ep):
-        if episode == 0:
-            class_stage(episode, 1, config.t_fc, config.alpha1)
+    def members_stage(episode):
+        with stage_span(episode, 2) as stream:
+            if episode > 0:
+                # Refill the one ensemble buffer, so a hook that keeps
+                # the object sees every later update.
+                ensemble.flat[:] = fresh_ensemble(episode).flat
+            stop = threading.Event()
+            args = (config.alpha2, frozen(), [next(stream) for _ in range(config.t_gtrain)],
+                    y_g_all, episode, stop)
+            # The first (largest) group runs on this thread.
+            rest = [pool.submit(_member_group_steps, group, *args) for group in groups[1:]]
+            try:
+                failures = [_member_group_steps(groups[0], *args)]
+                failures += [future.result() for future in rest]
+            except BaseException:  # e.g. KeyboardInterrupt: do not wait for the rest
+                stop.set()
+                raise
+            failures = [failure for failure in failures if failure is not None]
+            if failures:
+                raise _stack_failure(failures)
+            for n in range(config.t_gtrain):
+                log.append(episode=episode, stage=2, iteration=n)
 
-        if episode % t_ep == 0:
-            with stage_span(episode, 2) as stream:
-                if episode > 0:
-                    # Refill the one ensemble buffer, so a hook that keeps
-                    # the object sees every later update.
-                    ensemble.flat[:] = fresh_ensemble(episode).flat
-                adam = nets.AdamState(lr=config.alpha2)  # one state for the whole stack
-                for n in range(config.t_gtrain):
+    with _worker_pool(workers, blas_threads) as pool:
+        for episode in range(config.n_ep):
+            if episode == 0:
+                class_stage(episode, 1, config.t_fc, config.alpha1)
+
+            if episode % t_ep == 0:
+                members_stage(episode)
+
+            class_stage(episode, 3, config.t_deb, config.alpha3,
+                        ensemble=ensemble, lam=config.lam)
+
+            k = episode % config.k
+            member = ensemble.members[k]
+            with stage_span(episode, 4) as stream:
+                adam = nets.AdamState(lr=config.alpha2)
+                f_val = _generate(gen, val_ds.vectors)
+                for n in range(config.t_plat):
+                    val_out, _ = nets.discriminator_forward(member, f_val)
+                    acc = float(np.mean(np.argmax(val_out, axis=1) == val_attrs))
+                    log.append(episode=episode, stage=4, iteration=n, member_k=k, val_acc=acc)
+                    if acc > config.g_thresh:
+                        break
                     idx = next(stream)
-                    _discriminator_step(ensemble, adam, frozen_rows(idx), y_g_all[idx],
-                                        (2, episode, n))
-                    log.append(episode=episode, stage=2, iteration=n)
-
-        class_stage(episode, 3, config.t_deb, config.alpha3, ensemble=ensemble, lam=config.lam)
-
-        k = episode % config.k
-        member = ensemble.members[k]
-        with stage_span(episode, 4) as stream:
-            adam = nets.AdamState(lr=config.alpha2)
-            f_val = _generate(gen, val_ds.vectors)
-            for n in range(config.t_plat):
-                val_out, _ = nets.discriminator_forward(member, f_val)
-                acc = float(np.mean(np.argmax(val_out, axis=1) == val_attrs))
-                log.append(episode=episode, stage=4, iteration=n, member_k=k, val_acc=acc)
-                if acc > config.g_thresh:
-                    break
-                idx = next(stream)
-                _discriminator_step(member, adam, frozen_rows(idx), y_g_all[idx],
-                                    (4, episode, n))
+                    _discriminator_step(member, adam, frozen()[idx], y_g_all[idx],
+                                        (4, episode, n))
 
     return gen, cls, ensemble, log
 

@@ -139,11 +139,6 @@ def read_pairs_csv(path, dataset):
     return protocol
 
 
-def write_pairs_csv(protocol, path):
-    rows = zip(protocol.index_a, protocol.index_b, protocol.genuine.astype(int))
-    write_csv_report(path, (), ("index_a", "index_b", "genuine"), rows)
-
-
 def score_pairs(dataset, protocol):
     """Cosine similarity per pair; returns (scores, zero_norm_pair_count).
 

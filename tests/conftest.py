@@ -35,6 +35,11 @@ def tiny_config(**kw):
     return trainer.TrainConfig(**base)
 
 
+def stage_sequence(log):
+    """(episode, stage, member_k) per logged iteration, for replay checks."""
+    return [(r.episode, r.stage, r.member_k) for r in log.records]
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     dataset, _ = tiny_corpus()

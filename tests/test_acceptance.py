@@ -15,6 +15,7 @@ from conftest import (
     read_eval_rows,
     read_probe_accuracy,
     run_default_pipeline,
+    stage_sequence,
     tiny_corpus,
 )
 
@@ -249,7 +250,7 @@ class TestCriterion2Schedule:
                     expected = simulate_schedule(
                         n_ep, t_ep, k, t_fc, t_gtrain, t_deb, t_plat
                     )
-                    got = log.stage_sequence()
+                    got = stage_sequence(log)
                     assert len(got) == len(expected), (n_ep, t_ep, k)
                     for (ge, gs, gm), (ee, es, em) in zip(got, expected):
                         assert (ge, gs) == (ee, es), (n_ep, t_ep, k)

@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,8 +101,6 @@ CONTRACT_CASES = [
                  id="sweep --ks 2,0"),
     pytest.param(("train", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"), {}, 4,
                  id="train lam=nan"),
-    pytest.param(("synth", "--out", "{out}"), {"AGENDA_THREADS": "abc"}, 4,
-                 id="AGENDA_THREADS=abc"),
 ]
 
 
@@ -304,6 +305,20 @@ class TestTpeCli:
         assert code == 0, err
         assert dataio.read_dataset(embedded).dim == 128
 
+    def test_large_margins_are_quiet_and_divergence_is_one_line(self, tmp_path):
+        # exp(-d) overflowing for a large margin is the sigmoid's limit, not
+        # an error: stderr stays empty; a diverged run prints one line
+        spec = write_tiny_spec(tmp_path / "s.cfg")
+        corpus = tmp_path / "c.fds"
+        run_cli("synth", "--spec", spec, "--out", corpus)
+        argv = ("tpe", "--train", corpus, "--out", tmp_path / "w.tpe",
+                "--repeats", 1, "--iterations", 50, "--rate")
+        code, _, err = run_cli(*argv, "1e3")
+        assert (code, err) == (0, "")
+        code, _, err = run_cli(*argv, "1e12")
+        assert code == 4
+        assert err.count("\n") == 1 and err.startswith("agenda: error exit=4")
+
 
 class TestSweepCli:
     def test_compare_mode(self, tmp_path):
@@ -393,3 +408,29 @@ class TestDeterminism:
             run_cli("train", "--data", corpus, "--config", cfg, "--out", ckpt, "--log", log)
             outputs[run] = (corpus.read_bytes(), ckpt.read_bytes(), log.read_bytes())
         assert outputs["x"] == outputs["y"]
+
+    def test_train_bytes_independent_of_blas_threads(self, tmp_path):
+        # 800 records at batch 400, where a two-thread BLAS splits the
+        # products; train runs BLAS on one thread whatever the environment says
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=40,
+                               samples_per_identity=20, dim=64)
+        cfg = write_tiny_train_cfg(tmp_path / "t.cfg", k=3, batch_size=400, t_fc=20,
+                                   t_gtrain=10, t_deb=10, t_plat=5)
+        corpus = tmp_path / "c.fds"
+        run_cli("synth", "--spec", spec, "--out", corpus)
+        outputs = []
+        for threads in ("1", "2"):
+            ckpt = tmp_path / ("m%s.agnd" % threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "agenda.cli", "train", "--data", str(corpus),
+                 "--config", str(cfg), "--out", str(ckpt)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((tmp_path / ("m%s.agnd.manifest.json" % threads)).read_text())
+            assert manifest["blas_threads"] == 1 and manifest["workers"] >= 1
+            assert "threads" not in manifest
+            log = tmp_path / ("m%s.agnd.log.csv" % threads)
+            outputs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -1,12 +1,15 @@
 import copy
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from agenda import dataio, losses, nets, trainer
 from agenda.errors import NumericError, ValidationError
-from conftest import tiny_config, tiny_corpus
+from conftest import stage_sequence, tiny_config, tiny_corpus
 
 
 def snapshot(params):
@@ -126,7 +129,7 @@ class TestTrainLoop:
         assert identical(snapshot(c1), c2)
         for m1, m2 in zip(e1.members, e2.members):
             assert identical(snapshot(m1), m2)
-        assert log1.stage_sequence() == log2.stage_sequence()
+        assert stage_sequence(log1) == stage_sequence(log2)
         assert [r.l_br for r in log1.records] == [r.l_br for r in log2.records]
 
     def test_frozen_parameters_per_stage(self):
@@ -252,6 +255,116 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer.losses, "l_class", poisoned)
         with pytest.raises(NumericError, match="stage 1, episode 0, iteration 0"):
             trainer.train(ds, tiny_config())
+
+
+def _train_on(monkeypatch, workers, ds, cfg):
+    """``trainer.train`` with the worker count forced to ``workers``."""
+    plan = trainer.thread_plan
+    monkeypatch.setattr(trainer, "thread_plan", lambda k: (workers, plan(k)[1]))
+    return trainer.train(ds, cfg)
+
+
+class TestWorkerCounts:
+    """The threads split the work, never the arithmetic: the same bytes
+    and the same errors at any worker count."""
+
+    def test_same_bytes_at_one_two_and_k_workers(self, monkeypatch):
+        # k = 3 workers is more than two cores; a short switch interval
+        # interleaves the threads finely, so a lost or crossed update shows
+        ds, _ = tiny_corpus()
+        cfg = tiny_config(k=3, n_ep=4, t_ep=2)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, cfg.k):
+                gen, cls, ensemble, log = _train_on(monkeypatch, workers, ds, cfg)
+                assert log.workers == workers
+                runs.append(([p.flat.tobytes() for p in (gen, cls, ensemble)],
+                             list(log.rows())))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_stack_raises_the_same_error(self, monkeypatch):
+        # alpha2 = 1e300 sends every member to NaN at stage 2, iteration 1
+        ds, _ = tiny_corpus()
+        cfg = tiny_config(k=3, alpha2=1e300)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(NumericError) as err:
+                _train_on(monkeypatch, workers, ds, cfg)
+            messages.append(str(err.value))
+        assert messages == ["non-finite loss (nan) at stage 2, episode 0, iteration 1"] * 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_diverging_member_fails_the_stack(self, monkeypatch):
+        # only the last member is poisoned; on two workers it is alone in
+        # the second group, while the first group trains through
+        real = nets.init_ensemble
+
+        def poisoned(k, seed):
+            ensemble = real(k, seed)
+            ensemble.b2[k - 1] = np.nan
+            return ensemble
+
+        monkeypatch.setattr(trainer.nets, "init_ensemble", poisoned)
+        ds, _ = tiny_corpus()
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(NumericError) as err:
+                _train_on(monkeypatch, workers, ds, tiny_config(k=3))
+            messages.append(str(err.value))
+        assert messages == ["non-finite loss (nan) at stage 2, episode 0, iteration 0"] * 2
+
+    def test_interrupt_stops_the_other_groups(self, monkeypatch):
+        # an exception on this thread (Ctrl-C, say) in stage 2 ends the
+        # other group within a step, not after all t_gtrain steps
+        real = trainer._discriminator_step
+        worker_steps = []
+
+        def step(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError("interrupted")
+            worker_steps.append(1)
+            time.sleep(0.001)
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "_discriminator_step", step)
+        ds, _ = tiny_corpus()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _train_on(monkeypatch, 2, ds, tiny_config(t_gtrain=20000))
+        assert len(worker_steps) < 1000
+
+    def test_stack_failure_order(self):
+        # the whole stack's step checks the loss of every member first,
+        # then names the first non-finite gradient block in field order
+        def failure(block=None):
+            exc = NumericError(block or "loss")
+            if block:
+                exc.block = block
+            return exc
+
+        loss, w1, b1 = failure(), failure("w1"), failure("b1")
+        assert trainer._stack_failure([(5, w1), (3, b1)]) is b1
+        assert trainer._stack_failure([(3, w1), (3, loss)]) is loss
+        assert trainer._stack_failure([(3, b1), (3, w1)]) is w1
+
+    def test_blas_thread_count_restored(self):
+        if trainer._openblas() is None:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread-count call")
+        get_threads, set_threads = trainer._openblas()
+        before = get_threads()
+        set_threads(2)
+        try:
+            ds, _ = tiny_corpus()
+            _, _, _, log = trainer.train(ds, tiny_config(n_ep=1))
+            assert log.blas_threads == 1
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
 
 class TestTransform:
