@@ -1,8 +1,10 @@
 """One executable, eight subcommands, composable through the dataset format.
 
-Every run writes a JSON manifest next to its primary output (override with
---manifest) holding the resolved options, inputs/outputs, seed, and tool
-version — enough to replay the run exactly. Reports are CSV with '#'
+Each subcommand writes its outputs and returns ``(options, inputs,
+outputs, seed[, extra])``; ``main`` times the run and writes its JSON
+manifest from that tuple, next to the primary output (override with
+--manifest): the resolved options, inputs/outputs, seed, tool version and
+wall time — enough to replay the run exactly. Reports are CSV with '#'
 comment lines carrying the same provenance; they contain no timestamps, so
 identical manifests produce byte-identical reports.
 
@@ -19,17 +21,18 @@ BLAS thread count; the train manifest records both counts.
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
 
 from . import __version__, corrpca, probe, synthgen, tpe, trainer, verification
 from .dataio import (
+    format_float,
     read_dataset,
     split_by_identity,
     write_csv_report,
     write_dataset,
+    write_json,
 )
 from .errors import AgendaError, DataFormatError, ValidationError
 from .nets import load_checkpoint, save_checkpoint
@@ -65,48 +68,36 @@ def _parse_list(text, flag, convert=_finite_float):
     return values
 
 
-def _comment_block(subcommand, seed, options):
-    lines = ["tool_version=%s" % __version__, "subcommand=%s" % subcommand]
+def _comment_block(args, seed, options):
+    lines = ["tool_version=%s" % __version__, "subcommand=%s" % args.subcommand]
     if seed is not None:
         lines.append("seed=%d" % seed)
     lines += ["%s=%s" % (key, value) for key, value in options]
     return lines
 
 
-def _write_manifest(args, subcommand, options, inputs, outputs, seed, started, **extra):
-    path = args.manifest or (outputs[0] + ".manifest.json")
-    payload = {
-        "tool_version": __version__,
-        "subcommand": subcommand,
-        "options": {k: v for k, v in options},
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "seed": seed,
-        "wall_time_s": round(time.monotonic() - started, 3),
-        **extra,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_manifest(args, started, options, inputs, outputs, seed, *extra):
+    """The manifest of a run, from what its subcommand returned; ``extra``
+    is at most one dict of further top-level keys."""
+    write_json(args.manifest or (outputs[0] + ".manifest.json"), dict(
+        *extra, tool_version=__version__, subcommand=args.subcommand, options=dict(options),
+        inputs=inputs, outputs=outputs, seed=seed,
+        wall_time_s=round(time.monotonic() - started, 3)))
 
 
 def _cmd_synth(args):
-    started = time.monotonic()
     spec = synthgen.SynthSpec.from_file(args.spec) if args.spec else synthgen.SynthSpec()
     if args.seed is not None:
         spec.seed = args.seed
     dataset, metadata = synthgen.generate(spec)
     write_dataset(dataset, args.out)
     meta_path = args.meta or (args.out + ".meta.json")
-    synthgen.write_metadata(metadata, meta_path)
-    options = sorted(metadata["spec"].items())
-    _write_manifest(args, "synth", options, [args.spec] if args.spec else [],
-                    [args.out, meta_path], spec.seed, started)
-    return 0
+    write_json(meta_path, metadata)
+    return (sorted(metadata["spec"].items()), [args.spec] if args.spec else [],
+            [args.out, meta_path], spec.seed)
 
 
 def _cmd_train(args):
-    started = time.monotonic()
     config = trainer.TrainConfig.from_file(args.config) if args.config else trainer.TrainConfig()
     if args.seed is not None:
         config.seed = args.seed
@@ -114,59 +105,42 @@ def _cmd_train(args):
     gen, cls, ensemble, log = trainer.train(dataset, config)
     save_checkpoint(args.out, gen, cls, ensemble)
     log_path = args.log or (args.out + ".log.csv")
-    log.write_csv(log_path, _comment_block("train", config.seed, config.to_kv()))
-    _write_manifest(args, "train", config.to_kv(), [args.data],
-                    [args.out, log_path], config.seed, started,
-                    workers=log.workers, blas_threads=log.blas_threads)
-    return 0
+    log.write_csv(log_path, _comment_block(args, config.seed, config.to_kv()))
+    return (config.to_kv(), [args.data], [args.out, log_path], config.seed,
+            dict(workers=log.workers, blas_threads=log.blas_threads))
 
 
 def _cmd_transform(args):
-    started = time.monotonic()
     gen, _, _ = load_checkpoint(args.ckpt)
-    dataset = read_dataset(args.data)
-    write_dataset(trainer.transform(gen, dataset), args.out)
-    _write_manifest(args, "transform", [], [args.ckpt, args.data], [args.out], None, started)
-    return 0
+    write_dataset(trainer.transform(gen, read_dataset(args.data)), args.out)
+    return [], [args.ckpt, args.data], [args.out], None
 
 
 def _cmd_corrpca(args):
-    started = time.monotonic()
     if (args.fit is None) == (args.apply is None):
         raise ValidationError("corrpca needs exactly one of --fit or --apply")
     if args.fit:
-        dataset = read_dataset(args.fit)
-        subspace = corrpca.fit(dataset, args.delta)
+        subspace = corrpca.fit(read_dataset(args.fit), args.delta)
         corrpca.save_subspace(subspace, args.out)
         outputs = [args.out]
         if args.spectrum:
-            rows = [
-                (idx, "%r" % ev, "%r" % corr)
-                for idx, ev, corr in corrpca.correlation_spectrum(subspace)
-            ]
-            comments = _comment_block(
-                "corrpca", args.seed,
-                [("delta", args.delta), ("retained", subspace.retained_count),
-                 ("input_dim", subspace.input_dim)],
-            )
+            rows = [(idx, format_float(ev), format_float(corr))
+                    for idx, ev, corr in corrpca.correlation_spectrum(subspace)]
+            comments = _comment_block(args, args.seed, [
+                ("delta", args.delta), ("retained", subspace.retained_count),
+                ("input_dim", subspace.input_dim)])
             write_csv_report(args.spectrum, comments,
                              ("index", "eigenvalue", "abs_spearman"), rows)
             outputs.append(args.spectrum)
-        _write_manifest(args, "corrpca", [("mode", "fit"), ("delta", args.delta)],
-                        [args.fit], outputs, args.seed, started)
-    else:
-        if not args.subspace:
-            raise ValidationError("--apply needs --subspace")
-        subspace = corrpca.load_subspace(args.subspace)
-        dataset = read_dataset(args.apply)
-        write_dataset(corrpca.project(subspace, dataset), args.out)
-        _write_manifest(args, "corrpca", [("mode", "apply")],
-                        [args.apply, args.subspace], [args.out], args.seed, started)
-    return 0
+        return [("mode", "fit"), ("delta", args.delta)], [args.fit], outputs, args.seed
+    if not args.subspace:
+        raise ValidationError("--apply needs --subspace")
+    subspace = corrpca.load_subspace(args.subspace)
+    write_dataset(corrpca.project(subspace, read_dataset(args.apply)), args.out)
+    return [("mode", "apply")], [args.apply, args.subspace], [args.out], args.seed
 
 
 def _cmd_probe(args):
-    started = time.monotonic()
     seed = args.seed if args.seed is not None else 0
     if args.data:
         if args.train or args.test:
@@ -187,20 +161,18 @@ def _cmd_probe(args):
     options = [("epochs", args.epochs), ("rate", args.rate), ("l2", args.l2),
                ("standardized", "per-dimension z-score from the training split")]
     rows = [
-        ("overall_accuracy_pct", "%r" % report.overall_accuracy),
-        ("females_misclassified_pct", "%r" % report.females_misclassified),
-        ("males_misclassified_pct", "%r" % report.males_misclassified),
+        ("overall_accuracy_pct", format_float(report.overall_accuracy)),
+        ("females_misclassified_pct", format_float(report.females_misclassified)),
+        ("males_misclassified_pct", format_float(report.males_misclassified)),
         ("train_size", report.train_size),
         ("test_size", report.test_size),
     ]
-    write_csv_report(args.report, _comment_block("probe", seed, options),
+    write_csv_report(args.report, _comment_block(args, seed, options),
                      ("metric", "value"), rows)
-    _write_manifest(args, "probe", options, inputs, [args.report], seed, started)
-    return 0
+    return options, inputs, [args.report], seed
 
 
 def _cmd_eval(args):
-    started = time.monotonic()
     seed = args.seed if args.seed is not None else 0
     dataset = read_dataset(args.data)
     fprs = _parse_list(args.fprs, "--fprs")
@@ -215,36 +187,27 @@ def _cmd_eval(args):
     report = verification.evaluate(dataset, protocol, fprs)
     for warning in report.warnings:
         print("warning: %s" % warning, file=sys.stderr)
-    verification.write_report_csv(
-        report, args.report, _comment_block("eval", seed, pair_source)
-    )
-    _write_manifest(args, "eval", pair_source + [("fprs", args.fprs)],
-                    inputs, [args.report], seed, started)
-    return 0
+    verification.write_report_csv(report, args.report, _comment_block(args, seed, pair_source))
+    return pair_source + [("fprs", args.fprs)], inputs, [args.report], seed
 
 
 def _cmd_tpe(args):
-    started = time.monotonic()
     seed = args.seed if args.seed is not None else 0
     if (args.train is None) == (args.apply is None):
         raise ValidationError("tpe needs exactly one of --train or --apply")
     if args.train:
-        dataset = read_dataset(args.train)
-        w = tpe.tpe_train(dataset, args.repeats, args.iterations, args.rate,
+        w = tpe.tpe_train(read_dataset(args.train), args.repeats, args.iterations, args.rate,
                           args.batch, seed)
         tpe.save_tpe(w, args.out)
         options = [("repeats", args.repeats), ("iterations", args.iterations),
                    ("rate", args.rate), ("batch", args.batch), ("note", TPE_LOSS_NOTE)]
-        _write_manifest(args, "tpe", options, [args.train], [args.out], seed, started)
-    else:
-        if not args.matrix:
-            raise ValidationError("--apply needs --matrix")
-        w = tpe.load_tpe(args.matrix)
-        dataset = read_dataset(args.apply)
-        write_dataset(tpe.tpe_apply(w, dataset), args.out)
-        _write_manifest(args, "tpe", [("mode", "apply"), ("note", TPE_LOSS_NOTE)],
-                        [args.apply, args.matrix], [args.out], seed, started)
-    return 0
+        return options, [args.train], [args.out], seed
+    if not args.matrix:
+        raise ValidationError("--apply needs --matrix")
+    w = tpe.load_tpe(args.matrix)
+    write_dataset(tpe.tpe_apply(w, read_dataset(args.apply)), args.out)
+    return ([("mode", "apply"), ("note", TPE_LOSS_NOTE)], [args.apply, args.matrix],
+            [args.out], seed)
 
 
 def _trained(dataset, config):
@@ -259,7 +222,6 @@ def _compare_variants(dataset, delta, config):
 
 
 def _cmd_sweep(args):
-    started = time.monotonic()
     seed = args.seed if args.seed is not None else 0
     modes = [m for m in (args.lambdas, args.ks, args.compare) if m]
     if len(modes) != 1:
@@ -291,12 +253,11 @@ def _cmd_sweep(args):
     )
     write_csv_report(
         args.report,
-        _comment_block("sweep", seed, options + base.to_kv()),
+        _comment_block(args, seed, options + base.to_kv()),
         ("param", "tpr_m", "tpr_f", "bias", "probe_accuracy_pct"),
-        [(label,) + tuple("%r" % value for value in values) for label, *values in table],
+        [(label, *map(format_float, values)) for label, *values in table],
     )
-    _write_manifest(args, "sweep", options, [args.data], [args.report], seed, started)
-    return 0
+    return options, [args.data], [args.report], seed
 
 
 def build_parser():
@@ -409,8 +370,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    started = time.monotonic()
     try:
-        return args.func(args)
+        _write_manifest(args, started, *args.func(args))
     except DataFormatError as exc:
         print("agenda: error exit=3 kind=%s message=%s"
               % (exc.code, str(exc).replace("\n", " ")), file=sys.stderr)
@@ -423,6 +385,7 @@ def main(argv=None):
         print("agenda: error exit=4 kind=%s message=%s"
               % (type(exc).__name__, str(exc).replace("\n", " ")), file=sys.stderr)
         return 4
+    return 0
 
 
 def entrypoint():

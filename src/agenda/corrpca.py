@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DescriptorDataset, read_binary
+from .dataio import DescriptorDataset, read_binary, write_binary
 from .errors import DataFormatError, DimensionError, ValidationError
 from .linalg import DegenerateInputWarning, covariance, eigh, spearman
 
@@ -112,13 +112,10 @@ def correlation_spectrum(subspace):
 def save_subspace(subspace, path):
     """Binary layout: magic, dim u32, retained-count u32, then mean
     (dim f64), flags (dim u8), retained rows (r x dim f64), little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(
-            _SUBSPACE_HEADER.pack(SUBSPACE_MAGIC, subspace.input_dim, subspace.retained_count)
-        )
-        fh.write(np.ascontiguousarray(subspace.mean, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(subspace.retained_flags, dtype="u1").tobytes())
-        fh.write(np.ascontiguousarray(subspace.retained_vectors, dtype="<f8").tobytes())
+    write_binary(
+        path, _SUBSPACE_HEADER, SUBSPACE_MAGIC, (subspace.input_dim, subspace.retained_count),
+        [subspace.mean, subspace.retained_flags.astype("u1"), subspace.retained_vectors],
+    )
 
 
 def load_subspace(path):

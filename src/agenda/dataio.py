@@ -12,9 +12,16 @@ Vectors are stored as float32 and widened to float64 in memory; training
 math runs in 64-bit while files stay half-size. Every producer in the
 package writes this one format, so stages compose on the CLI regardless of
 where a dataset came from.
+
+The package's four binary formats (datasets here, checkpoints in ``nets``,
+subspaces in ``corrpca``, TPE matrices in ``tpe``) share one writer,
+:func:`write_binary`, and one reader, :func:`read_binary`: a packed header
+then little-endian blocks back to back. Manifests and synthesis metadata
+are written by :func:`write_json`, reports by :func:`write_csv_report`.
 """
 
 import dataclasses
+import json
 import math
 import os
 import struct
@@ -91,9 +98,18 @@ def write_dataset(dataset, path):
     records["identity"] = dataset.identities
     records["attribute"] = dataset.attributes
     records["vector"] = vec32
+    write_binary(path, _HEADER, MAGIC, (dataset.n, dataset.dim), [records], FORMAT_VERSION)
+
+
+def write_binary(path, header, magic, fields, blocks, version=None):
+    """Write a file that :func:`read_binary` reads back: ``header`` packed
+    from ``magic``, ``version`` (for a versioned format) and ``fields``,
+    then each array of ``blocks`` as little-endian bytes, back to back."""
+    lead = (magic,) if version is None else (magic, version)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, dataset.n, dataset.dim))
-        fh.write(records.tobytes())
+        fh.write(header.pack(*lead, *fields))
+        for block in blocks:
+            fh.write(block.astype(block.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 def read_binary(path, header, magic, layout, version=None):
@@ -262,6 +278,13 @@ def format_float(x):
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return repr(float(x))
+
+
+def write_json(path, payload):
+    """Indented, key-sorted JSON with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_csv_report(path, comments, header, rows):

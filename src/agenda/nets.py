@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_binary
+from .dataio import read_binary, write_binary
 from .errors import DataFormatError, DimensionError, NumericError, StateError
 
 GENERATOR_UNITS = 256
@@ -345,13 +345,11 @@ _CKPT_HEADER = struct.Struct("<4sIIIIII")
 def save_checkpoint(path, generator, classifier, ensemble):
     """Write all trained parameter blocks; float64 little-endian payload."""
     in_dim, units = generator.weight.shape
-    header = _CKPT_HEADER.pack(
-        CKPT_MAGIC, CKPT_VERSION, in_dim, units, classifier.weight.shape[1],
-        len(ensemble.members), ensemble.shapes[0][1],
+    write_binary(
+        path, _CKPT_HEADER, CKPT_MAGIC,
+        (in_dim, units, classifier.weight.shape[1], len(ensemble.members), ensemble.shapes[0][1]),
+        [generator.flat, classifier.flat, ensemble.flat], CKPT_VERSION,
     )
-    payload = np.concatenate([generator.flat, classifier.flat, ensemble.flat])
-    with open(path, "wb") as fh:
-        fh.write(header + payload.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NumericError, ValidationError
 
 DEFAULT_EPOCHS = 500
 DEFAULT_RATE = 0.1
@@ -42,7 +42,10 @@ class ProbeReport:
 
 def probe_train(dataset, epochs=DEFAULT_EPOCHS, rate=DEFAULT_RATE, l2=DEFAULT_L2):
     """Fit the probe on ``dataset``; caller is responsible for keeping the
-    evaluation split identity-disjoint from this one."""
+    evaluation split identity-disjoint from this one. Raises
+    :class:`NumericError` if the descent diverges."""
+    if epochs < 1 or not rate > 0 or not l2 >= 0:
+        raise ValidationError("probe needs epochs >= 1, rate > 0 and l2 >= 0")
     y = dataset.attributes.astype(np.float64)
     if len(np.unique(dataset.attributes)) < 2:
         raise ValidationError("probe training needs both attribute classes")
@@ -54,11 +57,15 @@ def probe_train(dataset, epochs=DEFAULT_EPOCHS, rate=DEFAULT_RATE, l2=DEFAULT_L2
     n = dataset.n
     w = np.zeros(dataset.dim)
     b = 0.0
-    for _ in range(epochs):
-        p = 1.0 / (1.0 + np.exp(-(xs @ w + b)))
-        err = p - y
-        w -= rate * (xs.T @ err / n + l2 * w)
-        b -= rate * float(err.mean())
+    # A diverging descent is reported once, below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            p = 1.0 / (1.0 + np.exp(-(xs @ w + b)))
+            err = p - y
+            w -= rate * (xs.T @ err / n + l2 * w)
+            b -= rate * float(err.mean())
+    if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+        raise NumericError("probe descent diverged to non-finite weights at rate %r" % rate)
     # Fold the standardization into the weights: the model then scores raw
     # descriptor vectors directly.
     folded_w = w / std

@@ -22,7 +22,6 @@ be generated identity-parallel.
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,9 +127,3 @@ def generate(spec):
         "attribute_direction": direction.tolist(),
     }
     return dataset, metadata
-
-
-def write_metadata(metadata, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .dataio import DescriptorDataset, read_binary
+from .dataio import DescriptorDataset, read_binary, write_binary
 from .errors import DimensionError, NumericError, ValidationError
 from .linalg import covariance, eigh
 
@@ -145,9 +145,7 @@ def tpe_apply(w, dataset):
 
 
 def save_tpe(w, path):
-    with open(path, "wb") as fh:
-        fh.write(_TPE_HEADER.pack(TPE_MAGIC, w.shape[0], w.shape[1]))
-        fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    write_binary(path, _TPE_HEADER, TPE_MAGIC, w.shape, [w])
 
 
 def load_tpe(path):

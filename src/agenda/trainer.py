@@ -88,14 +88,15 @@ class TrainConfig:
     seed: int = 0
     validation_fraction: float = 0.1
 
-    def resolved_t_ep(self):
-        return self.k if self.t_ep is None else self.t_ep
+    def __post_init__(self):
+        if self.t_ep is None:
+            self.t_ep = self.k
 
     def validate(self):
         counts = {
             "k": self.k, "t_fc": self.t_fc, "t_gtrain": self.t_gtrain,
             "t_deb": self.t_deb, "t_plat": self.t_plat,
-            "t_ep": self.resolved_t_ep(), "n_ep": self.n_ep,
+            "t_ep": self.t_ep, "n_ep": self.n_ep,
         }
         for name, value in counts.items():
             if not isinstance(value, (int, np.integer)) or value < 1:
@@ -117,17 +118,13 @@ class TrainConfig:
         return cls(**coerce_kv(read_kv_config(path), cls))
 
     def to_kv(self):
-        pairs = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "t_ep":
-                value = self.resolved_t_ep()
-            pairs.append((f.name, value))
-        return pairs
+        return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
 
 
 @dataclass
 class LogRecord:
+    """One row of the training log; the fields are its CSV columns."""
+
     episode: int
     stage: int
     iteration: int
@@ -136,9 +133,6 @@ class LogRecord:
     l_br: float = None
     member_k: int = None
     val_acc: float = None
-
-
-CSV_COLUMNS = ("episode", "stage", "iteration", "l_class", "l_deb", "l_br", "member_k", "val_acc")
 
 
 @dataclass
@@ -151,16 +145,16 @@ class TrainLog:
         self.records.append(LogRecord(**kw))
 
     def rows(self):
+        """CSV cells per record: floats in round-trip form, unset cells empty."""
+        fields = dataclasses.fields(LogRecord)
         for r in self.records:
-            yield (
-                r.episode, r.stage, r.iteration,
-                format_float(r.l_class), format_float(r.l_deb), format_float(r.l_br),
-                "" if r.member_k is None else r.member_k,
-                format_float(r.val_acc),
-            )
+            values = [getattr(r, f.name) for f in fields]
+            yield tuple(format_float(v) if f.type is float else "" if v is None else v
+                        for f, v in zip(fields, values))
 
     def write_csv(self, path, comments=()):
-        write_csv_report(path, comments, CSV_COLUMNS, self.rows())
+        columns = [f.name for f in dataclasses.fields(LogRecord)]
+        write_csv_report(path, comments, columns, self.rows())
 
 
 def balanced_batches(dataset, batch_size, seed):
@@ -404,14 +398,13 @@ def train(dataset, config, stage_hook=None):
     y_g_all = train_ds.attributes.astype(np.int64)
     val_attrs = val_ds.attributes.astype(np.int64)
 
-    t_ep = config.resolved_t_ep()
     init_mc = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,))
     ss_gen, ss_cls = init_mc.spawn(2)
     gen = nets.init_generator(train_ds.dim, ss_gen)
     cls = nets.init_classifier(len(class_ids), ss_cls)
 
     def fresh_ensemble(episode):
-        ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, episode // t_ep))
+        ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, episode // config.t_ep))
         return nets.init_ensemble(config.k, ss_e)
 
     ensemble = fresh_ensemble(0)
@@ -477,7 +470,7 @@ def train(dataset, config, stage_hook=None):
             if episode == 0:
                 class_stage(episode, 1, config.t_fc, config.alpha1)
 
-            if episode % t_ep == 0:
+            if episode % config.t_ep == 0:
                 members_stage(episode)
 
             class_stage(episode, 3, config.t_deb, config.alpha3,

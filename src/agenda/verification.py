@@ -75,7 +75,7 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
     for group in (1, 0):
         group_idx = np.flatnonzero(dataset.attributes == group)
         if len(group_idx) == 0:
-            continue
+            raise ValidationError("group %s has no records" % GROUP_NAMES[group])
         ids = dataset.identities[group_idx]
         gen_a, gen_b = [], []
         for ident in np.unique(ids):

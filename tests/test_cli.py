@@ -101,6 +101,8 @@ CONTRACT_CASES = [
                  id="sweep --ks 2,0"),
     pytest.param(("train", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"), {}, 4,
                  id="train lam=nan"),
+    pytest.param(("eval", "--data", "{empty}", "--report", "{out}"), {}, 4,
+                 id="eval empty corpus"),
 ]
 
 
@@ -118,10 +120,12 @@ class TestNoTraceback:
             monkeypatch.setattr(module, name, no_training)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        data = tmp_path / "c.fds"
-        dataio.write_dataset(tiny_corpus()[0], data)
+        data, empty = tmp_path / "c.fds", tmp_path / "empty.fds"
+        corpus = tiny_corpus()[0]
+        dataio.write_dataset(corpus, data)
+        dataio.write_dataset(corpus.subset([]), empty)
         cfg = write_tiny_train_cfg(tmp_path / "t.cfg", lam="nan")
-        paths = dict(data=data, cfg=cfg, out=tmp_path / "out")
+        paths = dict(data=data, empty=empty, cfg=cfg, out=tmp_path / "out")
         assert cli.main([a.format(**paths) for a in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -139,6 +143,25 @@ class TestNoTraceback:
         assert code == 4
         assert "kind=NumericError" in capsys.readouterr().err
         assert not matrix.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--epochs", "0", "ValidationError"),
+        ("--rate", "-1", "ValidationError"),
+        ("--l2", "-1", "ValidationError"),
+        ("--rate", "1e6", "NumericError"),  # diverges to NaN weights
+    ])
+    def test_probe_it_cannot_fit_is_4_and_writes_no_report(self, tmp_path, capsys,
+                                                            flag, value, kind):
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        report = tmp_path / "r.csv"
+        code = cli.main(["probe", "--data", str(data), "--report", str(report),
+                         "%s=%s" % (flag, value)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and err.startswith("agenda: error exit=4 kind=" + kind)
+        assert not report.exists()
 
     def test_pairs_genuine_cell_other_than_0_or_1_is_3(self, tmp_path, capsys):
         data = tmp_path / "c.fds"
@@ -173,6 +196,93 @@ class TestSynth:
         assert run_cli("synth", "--spec", spec, "--out", c)[0] == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+
+class TestManifests:
+    def test_every_subcommand_manifest(self, tmp_path):
+        """Path, key set and values of the manifest of every subcommand."""
+        p = {name: str(tmp_path / name) for name in (
+            "s.cfg", "t.cfg", "c.fds", "m.agnd", "log.csv", "z.fds", "sub.cpca", "spec.csv",
+            "proj.fds", "probe.csv", "eval.csv", "w.tpe", "e.fds", "lam.csv", "ks.csv",
+            "cmp.csv", "z.json")}
+        write_tiny_spec(tmp_path / "s.cfg", n_identities=16, samples_per_identity=8)
+        write_tiny_train_cfg(tmp_path / "t.cfg", n_ep=1)
+        train_options = dict(
+            lam=1.0, k=2, t_fc=30, t_gtrain=10, t_deb=8, t_plat=8, t_ep=2, n_ep=1,
+            g_thresh=1.0, alpha1=1e-3, alpha2=1e-3, alpha3=1e-3,
+            batch_size=16, seed=3, validation_fraction=0.15,
+        )
+        sweep_options = dict(fpr=0.05, impostor_ratio=2.0, probe_fraction=0.3)
+        tpe_note = ("tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), "
+                    "dot-product scores")
+        runs = [
+            (["synth", "--spec", p["s.cfg"], "--out", p["c.fds"]],
+             p["c.fds"] + ".manifest.json",
+             dict(n_identities=16, samples_per_identity=8, dim=10, sigma_id=0.5,
+                  sigma_noise=0.1, attribute_strength=0.4, entanglement=0.0,
+                  female_noise_scale=1.0, seed=5),
+             [p["s.cfg"]], [p["c.fds"], p["c.fds"] + ".meta.json"], 5),
+            (["train", "--data", p["c.fds"], "--config", p["t.cfg"], "--out", p["m.agnd"],
+              "--log", p["log.csv"]],
+             p["m.agnd"] + ".manifest.json", train_options,
+             [p["c.fds"]], [p["m.agnd"], p["log.csv"]], 3),
+            (["transform", "--ckpt", p["m.agnd"], "--data", p["c.fds"], "--out", p["z.fds"],
+              "--manifest", p["z.json"]],
+             p["z.json"], {}, [p["m.agnd"], p["c.fds"]], [p["z.fds"]], None),
+            (["corrpca", "--fit", p["c.fds"], "--delta", "0.2", "--out", p["sub.cpca"],
+              "--spectrum", p["spec.csv"]],
+             p["sub.cpca"] + ".manifest.json", dict(mode="fit", delta=0.2),
+             [p["c.fds"]], [p["sub.cpca"], p["spec.csv"]], None),
+            (["corrpca", "--apply", p["c.fds"], "--subspace", p["sub.cpca"],
+              "--out", p["proj.fds"], "--seed", "4"],
+             p["proj.fds"] + ".manifest.json", dict(mode="apply"),
+             [p["c.fds"], p["sub.cpca"]], [p["proj.fds"]], 4),
+            (["probe", "--data", p["c.fds"], "--report", p["probe.csv"]],
+             p["probe.csv"] + ".manifest.json",
+             dict(epochs=500, rate=0.1, l2=1e-4,
+                  standardized="per-dimension z-score from the training split"),
+             [p["c.fds"]], [p["probe.csv"]], 0),
+            (["eval", "--data", p["c.fds"], "--fprs", "0.01,0.1", "--report", p["eval.csv"],
+              "--seed", "1"],
+             p["eval.csv"] + ".manifest.json",
+             dict(pairs="generated", impostor_ratio=2.0, fprs="0.01,0.1"),
+             [p["c.fds"]], [p["eval.csv"]], 1),
+            (["tpe", "--train", p["c.fds"], "--out", p["w.tpe"], "--repeats", "2",
+              "--iterations", "5"],
+             p["w.tpe"] + ".manifest.json",
+             dict(repeats=2, iterations=5, rate=2.5e-3, batch=32, note=tpe_note),
+             [p["c.fds"]], [p["w.tpe"]], 0),
+            (["tpe", "--apply", p["c.fds"], "--matrix", p["w.tpe"], "--out", p["e.fds"]],
+             p["e.fds"] + ".manifest.json", dict(mode="apply", note=tpe_note),
+             [p["c.fds"], p["w.tpe"]], [p["e.fds"]], 0),
+            (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--lambdas", "0,1",
+              "--fpr", "0.05", "--report", p["lam.csv"]],
+             p["lam.csv"] + ".manifest.json", dict(sweep_options, lambdas="0,1"),
+             [p["c.fds"]], [p["lam.csv"]], 0),
+            (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--ks", "1,2",
+              "--fpr", "0.05", "--report", p["ks.csv"], "--seed", "2"],
+             p["ks.csv"] + ".manifest.json", dict(sweep_options, ks="1,2"),
+             [p["c.fds"]], [p["ks.csv"]], 2),
+            (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--compare",
+              "--delta", "0.5", "--fpr", "0.05", "--report", p["cmp.csv"]],
+             p["cmp.csv"] + ".manifest.json", dict(sweep_options, mode="compare", delta=0.5),
+             [p["c.fds"]], [p["cmp.csv"]], 0),
+        ]
+        keys = {"tool_version", "subcommand", "options", "inputs", "outputs", "seed",
+                "wall_time_s"}
+        for argv, path, options, inputs, outputs, seed in runs:
+            assert cli.main(argv) == 0, argv
+            manifest = json.loads(open(path, encoding="utf-8").read())
+            extra = {"workers", "blas_threads"} if argv[0] == "train" else set()
+            assert set(manifest) == keys | extra, argv
+            wall_time_s = manifest.pop("wall_time_s")
+            assert isinstance(wall_time_s, float) and wall_time_s >= 0.0
+            if extra:
+                workers, blas_threads = trainer.thread_plan(2)
+                assert manifest.pop("workers") == workers
+                assert manifest.pop("blas_threads") == blas_threads
+            assert manifest == dict(tool_version="0.1.0", subcommand=argv[0], options=options,
+                                    inputs=inputs, outputs=outputs, seed=seed), argv
 
 
 class TestPipeline:

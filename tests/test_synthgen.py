@@ -113,7 +113,7 @@ class TestMetadata:
         spec = synthgen.SynthSpec(n_identities=6, samples_per_identity=3, dim=8, seed=2)
         ds, meta = synthgen.generate(spec)
         path = tmp_path / "meta.json"
-        synthgen.write_metadata(meta, path)
+        dataio.write_json(path, meta)
         loaded = json.loads(path.read_text())
         assert loaded["noise_generator"] == synthgen.NOISE_GENERATOR
         assert loaded["spec"]["n_identities"] == 6

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import sys
 import threading
 import time
@@ -84,9 +83,9 @@ class TestBalancedBatches:
 class TestConfig:
     def test_t_ep_defaults_to_k(self):
         cfg = trainer.TrainConfig(k=7)
-        assert cfg.resolved_t_ep() == 7
+        assert cfg.t_ep == 7
         cfg = trainer.TrainConfig(k=7, t_ep=2)
-        assert cfg.resolved_t_ep() == 2
+        assert cfg.t_ep == 2
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -116,7 +115,7 @@ class TestConfig:
             "".join("%s=%s\n" % (k, v) for k, v in cfg.to_kv()) + "# comment\n"
         )
         again = trainer.TrainConfig.from_file(path)
-        assert again == dataclasses.replace(cfg, t_ep=cfg.resolved_t_ep())
+        assert again == cfg
 
 
 class TestTrainLoop:
