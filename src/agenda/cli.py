@@ -41,7 +41,7 @@ TPE_LOSS_NOTE = "tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), dot-pr
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_seed, default=None,
                      help="override the seed used by every stochastic component")
     sub.add_argument("--manifest", default=None,
                      help="manifest path (default: <primary output>.manifest.json)")
@@ -56,6 +56,13 @@ def _finite_float(text):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("%r is not a finite number" % text)
     return value
+
+
+def _seed(text):
+    """``int`` for --seed, refusing negative values (argparse reports a malformed one)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("%r is not a non-negative integer" % text)
+    return int(text)
 
 
 def _parse_list(text, flag, convert=_finite_float):

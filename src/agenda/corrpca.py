@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DescriptorDataset, read_binary, write_binary
-from .errors import DataFormatError, DimensionError, ValidationError
+from .dataio import read_binary, write_binary
+from .errors import DataFormatError, ValidationError
 from .linalg import DegenerateInputWarning, covariance, eigh, spearman
 
 DEFAULT_DELTA = 0.1
@@ -44,7 +44,6 @@ class CorrSubspace:
     mean: np.ndarray  # (dim,)
     retained_vectors: np.ndarray  # (r, dim), orthonormal rows
     retained_flags: np.ndarray  # (dim,) bool, eigenvalue-descending order
-    delta: float = DEFAULT_DELTA
     records: list = None
 
     @property
@@ -85,22 +84,14 @@ def fit(dataset, delta=DEFAULT_DELTA):
         mean=mean,
         retained_vectors=decomp.eigenvectors[retained].copy(),
         retained_flags=retained,
-        delta=float(delta),
         records=records,
     )
 
 
 def project(subspace, dataset):
     """Center and project descriptors onto the retained subspace."""
-    if dataset.dim != subspace.input_dim:
-        raise DimensionError(
-            "dataset dim %d does not match subspace dim %d"
-            % (dataset.dim, subspace.input_dim)
-        )
-    projected = (dataset.vectors - subspace.mean) @ subspace.retained_vectors.T
-    return DescriptorDataset(
-        dataset.identities.copy(), dataset.attributes.copy(), projected
-    )
+    return dataset.remap("subspace", subspace.input_dim,
+                         lambda x: (x - subspace.mean) @ subspace.retained_vectors.T)
 
 
 def correlation_spectrum(subspace):

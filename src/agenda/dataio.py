@@ -11,7 +11,8 @@ Dataset file layout (all little-endian):
 Vectors are stored as float32 and widened to float64 in memory; training
 math runs in 64-bit while files stay half-size. Every producer in the
 package writes this one format, so stages compose on the CLI regardless of
-where a dataset came from.
+where a dataset came from. The fitted maps (generator, corrpca subspace,
+TPE matrix) all re-embed a dataset through :meth:`DescriptorDataset.remap`.
 
 The package's four binary formats (datasets here, checkpoints in ``nets``,
 subspaces in ``corrpca``, TPE matrices in ``tpe``) share one writer,
@@ -81,6 +82,13 @@ class DescriptorDataset:
         return DescriptorDataset(
             self.identities[indices], self.attributes[indices], self.vectors[indices]
         )
+
+    def remap(self, what, in_dim, fn):
+        """Records mapped by ``fn`` (map ``what``, ``in_dim`` wide); labels shared, never mutated."""
+        if self.dim != in_dim:
+            raise DimensionError("dataset dim %d does not match %s input dim %d"
+                                 % (self.dim, what, in_dim))
+        return DescriptorDataset(self.identities, self.attributes, fn(self.vectors))
 
 
 def _record_dtype(dim):
@@ -233,18 +241,22 @@ def split_by_identity(dataset, heldout_fraction, seed):
 
 def read_kv_config(path):
     """Parse a ``key=value`` text file; '#' starts a comment, blanks ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError("bad_value", "config %s is not UTF-8 text: %s" % (path, exc))
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(
-                    "bad_key", "%s:%d: expected key=value, got %r" % (path, lineno, raw.strip())
-                )
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(
+                "bad_key", "%s:%d: expected key=value, got %r" % (path, lineno, raw.strip())
+            )
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 

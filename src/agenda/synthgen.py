@@ -61,8 +61,9 @@ class SynthSpec:
             raise ValidationError("need at least 2 identities and 2 samples each")
         if self.sigma_id <= 0 or self.sigma_noise <= 0:
             raise ValidationError("sigma_id and sigma_noise must be positive")
-        if self.attribute_strength < 0:
-            raise ValidationError("attribute_strength must be >= 0")
+        for name in ("attribute_strength", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError("%s must be >= 0" % name)
         if not 0.0 <= self.entanglement <= 1.0:
             raise ValidationError("entanglement must be in [0, 1]")
         if self.female_noise_scale <= 0:

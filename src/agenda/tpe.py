@@ -19,8 +19,8 @@ import struct
 
 import numpy as np
 
-from .dataio import DescriptorDataset, read_binary, write_binary
-from .errors import DimensionError, NumericError, ValidationError
+from .dataio import read_binary, write_binary
+from .errors import NumericError, ValidationError
 from .linalg import covariance, eigh
 
 EMBED_DIM = 128
@@ -135,13 +135,7 @@ def tpe_train(dataset, repeats=DEFAULT_REPEATS, iterations=DEFAULT_ITERATIONS,
 
 def tpe_apply(w, dataset):
     """Project every descriptor through the matrix; labels pass through."""
-    if dataset.dim != w.shape[0]:
-        raise DimensionError(
-            "dataset dim %d does not match matrix input dim %d" % (dataset.dim, w.shape[0])
-        )
-    return DescriptorDataset(
-        dataset.identities.copy(), dataset.attributes.copy(), dataset.vectors @ w
-    )
+    return dataset.remap("matrix", w.shape[0], lambda x: x @ w)
 
 
 def save_tpe(w, path):

@@ -43,7 +43,6 @@ import numpy as np
 
 from . import losses, nets
 from .dataio import (
-    DescriptorDataset,
     coerce_kv,
     format_float,
     read_kv_config,
@@ -104,8 +103,9 @@ class TrainConfig:
         for name, rate in (("alpha1", self.alpha1), ("alpha2", self.alpha2), ("alpha3", self.alpha3)):
             if not rate > 0:
                 raise ValidationError("%s must be > 0" % name)
-        if not self.lam >= 0:
-            raise ValidationError("lam must be >= 0")
+        for name in ("lam", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError("%s must be >= 0" % name)
         if not 0.5 < self.g_thresh <= 1.0:
             raise ValidationError("g_thresh must be in (0.5, 1]")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
@@ -496,13 +496,4 @@ def train(dataset, config, stage_hook=None):
 
 def transform(gen, dataset):
     """Re-embed every record through the generator; labels pass through."""
-    if dataset.dim != gen.weight.shape[0]:
-        raise ValidationError(
-            "dataset dim %d does not match generator input dim %d"
-            % (dataset.dim, gen.weight.shape[0])
-        )
-    return DescriptorDataset(
-        dataset.identities.copy(),
-        dataset.attributes.copy(),
-        _generate(gen, dataset.vectors),
-    )
+    return dataset.remap("generator", gen.weight.shape[0], functools.partial(_generate, gen))

@@ -109,12 +109,10 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
         cols_b += [gen_b, imp_b]
         cols_genuine += [np.ones(len(gen_a), bool), np.zeros(n_imp, bool)]
         cols_group += [np.full(len(gen_a) + n_imp, group, np.uint8)]
-    protocol = PairProtocol(
+    return PairProtocol(
         np.concatenate(cols_a), np.concatenate(cols_b),
         np.concatenate(cols_genuine), np.concatenate(cols_group),
     )
-    protocol.validate_against(dataset)
-    return protocol
 
 
 def read_pairs_csv(path, dataset):
@@ -182,8 +180,6 @@ def _group_operating_points(genuine_scores, impostor_scores, fpr_targets, group,
     m = len(imp_desc)
     points = []
     for target in fpr_targets:
-        if not 0.0 < target < 1.0:
-            raise ValidationError("FPR targets must be in (0, 1)")
         if target < 1.0 / m:
             warnings.append(
                 "group %s: target FPR %g below 1/%d impostors; achieved FPR is 0"
@@ -202,8 +198,14 @@ def _group_operating_points(genuine_scores, impostor_scores, fpr_targets, group,
     return points
 
 
+def _check_fpr_targets(fpr_targets):
+    if not all(0.0 < target < 1.0 for target in fpr_targets):
+        raise ValidationError("FPR targets must be in (0, 1)")
+
+
 def tpr_at_fpr(scores, protocol, fpr_targets):
     """Per-group operating points at each target; groups evaluated separately."""
+    _check_fpr_targets(fpr_targets)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (protocol.n,):
         raise DimensionError("one score per protocol pair required")
@@ -283,6 +285,7 @@ def ablation_sweep(dataset, variants, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO
     is released before the next one is requested. Returns rows of
     (label, tpr_m, tpr_f, bias, probe_accuracy_pct).
     """
+    _check_fpr_targets((fpr,))  # before the first variant is built
     protocol = make_pairs(dataset, impostor_ratio, pair_seed)
     fit_idx, eval_idx = split_by_identity(dataset, probe_fraction, probe_seed)
     rows = []

@@ -55,6 +55,14 @@ class TestExitCodes:
         assert code == 4
         assert "exit=4" in err
 
+    def test_negative_seed_in_train_config_is_4(self, tmp_path):
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        cfg = write_tiny_train_cfg(tmp_path / "t.cfg", seed=-1)
+        code, _, err = run_cli("train", "--data", data, "--config", cfg,
+                               "--out", tmp_path / "m.agnd")
+        assert code == 4 and "seed must be >= 0" in err, err
+
     def test_bad_dataset_magic_is_3(self, tmp_path):
         bad = tmp_path / "bad.fds"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
@@ -103,12 +111,36 @@ CONTRACT_CASES = [
                  id="train lam=nan"),
     pytest.param(("eval", "--data", "{empty}", "--report", "{out}"), {}, 4,
                  id="eval empty corpus"),
+] + [
+    pytest.param(base + ("--seed=-1",), {}, 2, id="%s --seed=-1" % base[0])
+    for base in (
+        ("synth", "--out", "{out}"),
+        ("train", "--data", "{data}", "--out", "{out}"),
+        ("probe", "--data", "{data}", "--report", "{out}"),
+        ("eval", "--data", "{data}", "--report", "{out}"),
+        ("tpe", "--train", "{data}", "--out", "{out}"),
+        ("sweep", "--data", "{data}", "--compare", "--report", "{out}"),
+    )
+] + [
+    pytest.param(("synth", "--spec", "{negspec}", "--out", "{out}"), {}, 4,
+                 id="synth spec seed=-1"),
+    pytest.param(("sweep", "--data", "{data}", "--config", "{negcfg}", "--lambdas", "0,1",
+                  "--report", "{out}"), {}, 4, id="sweep config seed=-1"),
+    # a dataset is binary, not UTF-8 text
+    pytest.param(("synth", "--spec", "{data}", "--out", "{out}"), {}, 3,
+                 id="synth spec not UTF-8"),
+    pytest.param(("train", "--data", "{data}", "--config", "{data}", "--out", "{out}"), {}, 3,
+                 id="train config not UTF-8"),
+] + [
+    pytest.param(("sweep", "--data", "{data}", "--lambdas", "0,1", "--fpr", fpr,
+                  "--report", "{out}"), {}, 4, id="sweep --lambdas --fpr %s" % fpr)
+    for fpr in ("0", "1.5")
 ]
 
 
 class TestNoTraceback:
-    """Bad numbers from outside fail with a usage error (2) or one error
-    line (4) before any training, probe fit or SGD step runs."""
+    """Bad numbers or files from outside fail with a usage error (2) or one
+    error line (3 or 4) before any training, probe fit or SGD step runs."""
 
     @pytest.mark.parametrize("argv, env, code", CONTRACT_CASES)
     def test_rejected_before_any_training(self, tmp_path, monkeypatch, capsys, argv, env, code):
@@ -124,13 +156,15 @@ class TestNoTraceback:
         corpus = tiny_corpus()[0]
         dataio.write_dataset(corpus, data)
         dataio.write_dataset(corpus.subset([]), empty)
-        cfg = write_tiny_train_cfg(tmp_path / "t.cfg", lam="nan")
-        paths = dict(data=data, empty=empty, cfg=cfg, out=tmp_path / "out")
+        paths = dict(data=data, empty=empty, out=tmp_path / "out",
+                     cfg=write_tiny_train_cfg(tmp_path / "t.cfg", lam="nan"),
+                     negcfg=write_tiny_train_cfg(tmp_path / "neg.cfg", seed=-1),
+                     negspec=write_tiny_spec(tmp_path / "neg.spec", seed=-1))
         assert cli.main([a.format(**paths) for a in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if code == 4:
-            assert err.count("\n") == 1 and err.startswith("agenda: error exit=4")
+        if code != 2:
+            assert err.count("\n") == 1 and err.startswith("agenda: error exit=%d" % code)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

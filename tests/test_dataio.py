@@ -4,8 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from agenda import dataio
-from agenda.errors import DataFormatError, ValidationError
+from agenda import corrpca, dataio, nets, tpe, trainer
+from agenda.errors import DataFormatError, DimensionError, ValidationError
+from conftest import tiny_corpus
 
 
 def small_dataset():
@@ -15,6 +16,36 @@ def small_dataset():
         attributes=np.array([0, 0, 1, 1, 0], dtype=np.uint8),
         vectors=rng.normal(size=(5, 4)).astype(np.float32).astype(np.float64),
     )
+
+
+def _generator(dim):
+    gen = nets.init_generator(dim, seed=0)
+    return lambda ds: trainer.transform(gen, ds)
+
+
+def _subspace(dim):
+    sub = corrpca.fit(tiny_corpus(dim=dim)[0], delta=1.0)
+    return lambda ds: corrpca.project(sub, ds)
+
+
+def _matrix(dim):
+    w = np.eye(dim, tpe.EMBED_DIM)
+    return lambda ds: tpe.tpe_apply(w, ds)
+
+
+@pytest.mark.parametrize("fitted, what", [
+    pytest.param(_generator, "generator", id="trainer.transform"),
+    pytest.param(_subspace, "subspace", id="corrpca.project"),
+    pytest.param(_matrix, "matrix", id="tpe.tpe_apply"),
+])
+def test_fitted_maps_remap_record_for_record(fitted, what):
+    ds, _ = tiny_corpus()
+    out = fitted(ds.dim)(ds)
+    assert out.n == ds.n
+    assert np.array_equal(out.identities, ds.identities)
+    assert np.array_equal(out.attributes, ds.attributes)
+    with pytest.raises(DimensionError, match="%s input dim %d" % (what, ds.dim + 1)):
+        fitted(ds.dim + 1)(ds)
 
 
 class TestRoundTrip:
