@@ -181,8 +181,9 @@ def _cmd_probe(args):
 
 def _cmd_eval(args):
     seed = args.seed if args.seed is not None else 0
-    dataset = read_dataset(args.data)
     fprs = _parse_list(args.fprs, "--fprs")
+    verification.check_fpr_targets(fprs)
+    dataset = read_dataset(args.data)
     if args.pairs:
         protocol = verification.read_pairs_csv(args.pairs, dataset)
         pair_source = [("pairs", args.pairs)]

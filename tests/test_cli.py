@@ -207,6 +207,40 @@ class TestNoTraceback:
         assert code == 3
         assert "kind=bad_value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0,{n},1", "{male},{female},0"],
+                             ids=["index out of range", "cross-group pair"])
+    def test_pairs_the_dataset_cannot_hold_is_4(self, tmp_path, capsys, row):
+        corpus = tiny_corpus()[0]
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(corpus, data)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("index_a,index_b,genuine\n%s\n" % row.format(
+            n=corpus.n, male=np.flatnonzero(corpus.attributes == 1)[0],
+            female=np.flatnonzero(corpus.attributes == 0)[0]))
+        report = tmp_path / "r.csv"
+        code = cli.main(["eval", "--data", str(data), "--pairs", str(pairs),
+                         "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and err.startswith("agenda: error exit=4 kind=ValidationError")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("fpr", ["0", "1.5"])
+    def test_eval_fpr_target_rejected_before_any_pair(self, tmp_path, monkeypatch, capsys, fpr):
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("pairs were built or scored")
+
+        for name in ("make_pairs", "score_pairs"):
+            monkeypatch.setattr(verification, name, no_pairs)
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        report = tmp_path / "r.csv"
+        code = cli.main(["eval", "--data", str(data), "--report", str(report), "--fprs", fpr])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and err.startswith("agenda: error exit=4 kind=ValidationError")
+        assert not report.exists()
+
 
 class TestSynth:
     def test_writes_dataset_metadata_manifest(self, tmp_path):
