@@ -12,11 +12,14 @@ Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
 violated invariant or numeric failure. Failures print a single
 machine-parseable line to stderr.
 
-``train`` (and every training run of ``sweep``) runs stage 2's member
-groups and stage 3's classifier and discriminator lanes on one worker
-thread per usable core, at most k, with BLAS on one thread whatever
-OPENBLAS_NUM_THREADS says. Its outputs are the same bytes at any core or
-BLAS thread count; the train manifest records both counts.
+Every subcommand runs numpy's BLAS on one thread whatever
+OPENBLAS_NUM_THREADS says, so its outputs are the same bytes at any BLAS
+thread count (a multi-threaded ``eigh`` moves low-order bits); every
+manifest records that count as ``blas_threads``. ``train`` (and every
+training run of ``sweep``) runs stage 2's member groups and stage 3's
+classifier and discriminator lanes on one worker thread per usable core,
+at most k; its outputs are the same bytes at any core count, and the train
+manifest records the worker count.
 """
 
 import argparse
@@ -25,7 +28,7 @@ import math
 import sys
 import time
 
-from . import __version__, corrpca, probe, synthgen, tpe, trainer, verification
+from . import __version__, corrpca, linalg, probe, synthgen, tpe, trainer, verification
 from .dataio import (
     format_float,
     read_dataset,
@@ -83,12 +86,12 @@ def _comment_block(args, seed, options):
     return lines
 
 
-def _write_manifest(args, started, options, inputs, outputs, seed, *extra):
+def _write_manifest(args, started, blas_threads, options, inputs, outputs, seed, *extra):
     """The manifest of a run, from what its subcommand returned; ``extra``
     is at most one dict of further top-level keys."""
     write_json(args.manifest or (outputs[0] + ".manifest.json"), dict(
         *extra, tool_version=__version__, subcommand=args.subcommand, options=dict(options),
-        inputs=inputs, outputs=outputs, seed=seed,
+        inputs=inputs, outputs=outputs, seed=seed, blas_threads=blas_threads,
         wall_time_s=round(time.monotonic() - started, 3)))
 
 
@@ -114,7 +117,7 @@ def _cmd_train(args):
     log_path = args.log or (args.out + ".log.csv")
     log.write_csv(log_path, _comment_block(args, config.seed, config.to_kv()))
     return (config.to_kv(), [args.data], [args.out, log_path], config.seed,
-            dict(workers=log.workers, blas_threads=log.blas_threads))
+            dict(workers=log.workers))
 
 
 def _cmd_transform(args):
@@ -156,6 +159,7 @@ def _cmd_probe(args):
         fit_idx, eval_idx = split_by_identity(dataset, args.test_fraction, seed)
         train_set = dataset.subset(fit_idx)
         test_set = dataset.subset(eval_idx)
+        del dataset  # the splits are all the probe reads
         inputs = [args.data]
     else:
         if not (args.train and args.test):
@@ -380,7 +384,9 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     started = time.monotonic()
     try:
-        _write_manifest(args, started, *args.func(args))
+        with linalg.blas_threads(1) as blas_threads:
+            ran = args.func(args)
+        _write_manifest(args, started, blas_threads, *ran)
     except DataFormatError as exc:
         print("agenda: error exit=3 kind=%s message=%s"
               % (exc.code, str(exc).replace("\n", " ")), file=sys.stderr)

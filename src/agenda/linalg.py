@@ -1,16 +1,64 @@
-"""Dense covariance, symmetric eigendecomposition, and rank correlation.
+"""Dense covariance, symmetric eigendecomposition, rank correlation, and
+the BLAS thread policy.
 
 Everything here operates on plain float64 numpy arrays. The eigensolver is
 LAPACK's symmetric solver through numpy, with eigenvalues sorted descending
 and eigenvector signs fixed so that output files are reproducible.
+
+A multi-threaded BLAS may split a product or a factorization differently at
+each thread count, and LAPACK's ``eigh`` then returns different low-order
+bits. :func:`blas_threads` sets the thread count of numpy's bundled
+OpenBLAS for a block of work; every CLI subcommand runs under one thread.
 """
 
+import contextlib
+import ctypes
+import functools
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
+
+
+@functools.cache
+def openblas_handle():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    import glob  # only the first lookup needs it
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(count):
+    """Numpy's BLAS on ``count`` threads for the body, the previous count
+    restored after. Yields the count in force: ``count``, or None when
+    ``count`` is None or there is no handle on the count, and the
+    environment's count stays."""
+    handle = None if count is None else openblas_handle()
+    if handle is None:
+        yield None
+        return
+    get_threads, set_threads = handle
+    previous = get_threads()
+    set_threads(count)
+    try:
+        yield count
+    finally:
+        set_threads(previous)
 
 
 class DegenerateInputWarning(UserWarning):

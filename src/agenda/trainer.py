@@ -27,11 +27,17 @@ thread and Adam state. In stage 3 the classifier lane (forward, loss,
 backward) runs beside the discriminator lane (stacked forward, the
 strongest member's input gradient), and the classifier's Adam step runs
 beside the generator's backward pass and Adam step. ``thread_plan`` picks
-the worker count; BLAS runs on one thread for the length of ``train``.
+the worker count; BLAS runs on one thread for the length of ``train``
+(``linalg.blas_threads``).
+
+Memory: the training and validation splits are index arrays into the one
+float64 corpus the caller holds. Batches gather their rows from it, and the
+frozen-generator passes gather theirs one chunk at a time, so no split's
+vectors are copied whole: a 512-d train at batch 400 and k 5 peaks at about
+140 MiB.
 """
 
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import math
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses, nets
+from . import linalg, losses, nets
 from .dataio import (
     coerce_kv,
     format_float,
@@ -157,8 +163,9 @@ class TrainLog:
         write_csv_report(path, comments, columns, self.rows())
 
 
-def balanced_batches(dataset, batch_size, seed):
-    """Endless stream of index batches with equal counts per attribute.
+def balanced_batches(attributes, batch_size, seed):
+    """Endless stream of index batches into ``attributes`` with equal
+    counts per attribute value.
 
     Each epoch reshuffles both attribute pools from a stream derived from
     ``seed``; an epoch covers the larger pool once, and a pool exhausted
@@ -167,9 +174,8 @@ def balanced_batches(dataset, batch_size, seed):
     """
     if batch_size < 2 or batch_size % 2 != 0:
         raise ValidationError("batch_size must be even and >= 2")
-    attrs = dataset.attributes
-    pool1 = np.flatnonzero(attrs == 1)
-    pool0 = np.flatnonzero(attrs == 0)
+    pool1 = np.flatnonzero(attributes == 1)
+    pool0 = np.flatnonzero(attributes == 0)
     if len(pool0) == 0 or len(pool1) == 0:
         raise ValidationError("both attribute values must be present for balanced batches")
     half = batch_size // 2
@@ -202,12 +208,16 @@ def _check_finite(value, stage, episode, iteration):
 GENERATOR_CHUNK = 1024  # rows per generator call in whole-split passes
 
 
-def _generate(gen, vectors, chunk=GENERATOR_CHUNK):
-    """Generator output for every row, computed ``chunk`` rows at a time so
-    the temporaries stay small; rows do not depend on the chunking."""
-    out = np.empty((len(vectors), gen.weight.shape[1]))
-    for start in range(0, len(vectors), chunk):
-        out[start : start + chunk], _ = nets.generator_forward(gen, vectors[start : start + chunk])
+def _generate(gen, vectors, rows=None, chunk=GENERATOR_CHUNK):
+    """Generator output for ``vectors[rows]`` (every row when ``rows`` is
+    None), computed ``chunk`` rows at a time so the temporaries stay small
+    and a split is never copied whole; rows do not depend on the chunking."""
+    n = len(vectors) if rows is None else len(rows)
+    out = np.empty((n, gen.weight.shape[1]))
+    for start in range(0, n, chunk):
+        part = slice(start, start + chunk)
+        x = vectors[part] if rows is None else vectors[rows[part]]
+        out[part], _ = nets.generator_forward(gen, x)
     return out
 
 
@@ -298,25 +308,6 @@ def _stack_failure(failures):
     return min(failures, key=order)[1]
 
 
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    import glob  # only training needs it
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
 def thread_plan(k):
     """(workers, BLAS threads) for one training run.
 
@@ -324,7 +315,7 @@ def thread_plan(k):
     on one thread. Without a handle on numpy's BLAS thread count, training
     runs on one thread and BLAS keeps the environment's count (None).
     """
-    if _openblas() is None:
+    if linalg.openblas_handle() is None:
         return 1, None
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(k, cores or 1), 1
@@ -353,11 +344,7 @@ _INLINE = _Inline()
 def _worker_pool(workers, blas_threads):
     """``workers - 1`` threads beside the caller, with BLAS at
     ``blas_threads`` (when not None) until the pool closes."""
-    if blas_threads is not None:
-        get_threads, set_threads = _openblas()
-        previous = get_threads()
-        set_threads(blas_threads)
-    try:
+    with linalg.blas_threads(blas_threads):
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -365,9 +352,6 @@ def _worker_pool(workers, blas_threads):
                 yield pool
         else:
             yield _INLINE
-    finally:
-        if blas_threads is not None:
-            set_threads(previous)
 
 
 def train(dataset, config, stage_hook=None):
@@ -388,19 +372,19 @@ def train(dataset, config, stage_hook=None):
         dataset, config.validation_fraction,
         np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,)),
     )
-    train_ds = dataset.subset(train_idx)
-    val_ds = dataset.subset(val_idx)
-    if len(np.unique(train_ds.identities)) < 2 or len(np.unique(train_ds.attributes)) < 2:
+    train_ids = dataset.identities[train_idx]
+    train_attrs = dataset.attributes[train_idx]
+    if len(np.unique(train_ids)) < 2 or len(np.unique(train_attrs)) < 2:
         raise ValidationError("training split lost an identity or attribute class")
 
-    class_ids = np.unique(train_ds.identities)
-    y_id_all = np.searchsorted(class_ids, train_ds.identities)
-    y_g_all = train_ds.attributes.astype(np.int64)
-    val_attrs = val_ds.attributes.astype(np.int64)
+    class_ids = np.unique(train_ids)
+    y_id_all = np.searchsorted(class_ids, train_ids)
+    y_g_all = train_attrs.astype(np.int64)
+    val_attrs = dataset.attributes[val_idx].astype(np.int64)
 
     init_mc = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,))
     ss_gen, ss_cls = init_mc.spawn(2)
-    gen = nets.init_generator(train_ds.dim, ss_gen)
+    gen = nets.init_generator(dataset.dim, ss_gen)
     cls = nets.init_classifier(len(class_ids), ss_cls)
 
     def fresh_ensemble(episode):
@@ -420,7 +404,7 @@ def train(dataset, config, stage_hook=None):
         if stage_hook is not None:
             stage_hook("start", episode, stage, gen, cls, ensemble)
         ss = np.random.SeedSequence(config.seed, spawn_key=(NS_BATCHES, episode, stage))
-        yield balanced_batches(train_ds, config.batch_size, ss)
+        yield balanced_batches(train_attrs, config.batch_size, ss)
         if stage_hook is not None:
             stage_hook("end", episode, stage, gen, cls, ensemble)
 
@@ -428,7 +412,7 @@ def train(dataset, config, stage_hook=None):
         # One pass per generator state; stage 4 and the next stage 2 share it.
         nonlocal f_train
         if f_train is None:
-            f_train = _generate(gen, train_ds.vectors)
+            f_train = _generate(gen, dataset.vectors, train_idx)
         return f_train
 
     def class_stage(episode, stage, steps, lr, **deb):
@@ -438,8 +422,9 @@ def train(dataset, config, stage_hook=None):
         with stage_span(episode, stage) as stream:
             for n in range(steps):
                 idx = next(stream)
-                row = _class_step(pool, gen, cls, adam_gen, adam_cls, train_ds.vectors[idx],
-                                  y_id_all[idx], (stage, episode, n), **deb)
+                row = _class_step(pool, gen, cls, adam_gen, adam_cls,
+                                  dataset.vectors[train_idx[idx]], y_id_all[idx],
+                                  (stage, episode, n), **deb)
                 log.append(episode=episode, stage=stage, iteration=n, **row)
 
     def members_stage(episode):
@@ -480,7 +465,7 @@ def train(dataset, config, stage_hook=None):
             member = ensemble.members[k]
             with stage_span(episode, 4) as stream:
                 adam = nets.AdamState(lr=config.alpha2)
-                f_val = _generate(gen, val_ds.vectors)
+                f_val = _generate(gen, dataset.vectors, val_idx)
                 for n in range(config.t_plat):
                     val_out, _ = nets.discriminator_forward(member, f_val)
                     acc = float(np.mean(np.argmax(val_out, axis=1) == val_attrs))

@@ -40,6 +40,34 @@ def stage_sequence(log):
     return [(r.episode, r.stage, r.member_k) for r in log.records]
 
 
+def peak_rss_mib(*argv):
+    """Peak RSS in MiB of one ``agenda`` subcommand run in a child process.
+
+    A child's ru_maxrss also counts the pages of the process that started
+    it (this test runner, 170 MiB late in a full run), so the child reports
+    its own high-water mark, VmHWM (Linux, kilobytes).
+    """
+    script = ("import sys; from agenda.cli import main; code = main(sys.argv[1:]); "
+              "print(next(line.split()[1] for line in open('/proc/self/status') "
+              "if line.startswith('VmHWM:'))); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, *[str(a) for a in argv]],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+@pytest.fixture(scope="session")
+def corpus_512d(tmp_path_factory):
+    """The default corpus at the paper's 512-d: 10,000 records, 41 MiB as float64."""
+    root = tmp_path_factory.mktemp("c512")
+    spec = root / "spec.txt"
+    spec.write_text("dim=512\n")
+    corpus = root / "c512.fds"
+    code, _, err = run_cli("synth", "--spec", spec, "--out", corpus, "--seed", 3)
+    assert code == 0, err
+    return corpus
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     dataset, _ = tiny_corpus()

@@ -337,18 +337,18 @@ class TestManifests:
              [p["c.fds"]], [p["cmp.csv"]], 0),
         ]
         keys = {"tool_version", "subcommand", "options", "inputs", "outputs", "seed",
-                "wall_time_s"}
+                "blas_threads", "wall_time_s"}
+        workers, blas_threads = trainer.thread_plan(2)
         for argv, path, options, inputs, outputs, seed in runs:
             assert cli.main(argv) == 0, argv
             manifest = json.loads(open(path, encoding="utf-8").read())
-            extra = {"workers", "blas_threads"} if argv[0] == "train" else set()
+            extra = {"workers"} if argv[0] == "train" else set()
             assert set(manifest) == keys | extra, argv
             wall_time_s = manifest.pop("wall_time_s")
             assert isinstance(wall_time_s, float) and wall_time_s >= 0.0
+            assert manifest.pop("blas_threads") == blas_threads, argv
             if extra:
-                workers, blas_threads = trainer.thread_plan(2)
                 assert manifest.pop("workers") == workers
-                assert manifest.pop("blas_threads") == blas_threads
             assert manifest == dict(tool_version="0.1.0", subcommand=argv[0], options=options,
                                     inputs=inputs, outputs=outputs, seed=seed), argv
 
@@ -611,4 +611,29 @@ class TestDeterminism:
             assert "threads" not in manifest
             log = tmp_path / ("m%s.agnd.log.csv" % threads)
             outputs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, written", [
+        (["corrpca", "--fit", "{}/c.fds", "--out", "{}/o.cpca", "--spectrum", "{}/o.csv"],
+         ["o.cpca", "o.csv"]),
+        (["tpe", "--train", "{}/c.fds", "--out", "{}/o.tpe", "--repeats", "1",
+          "--iterations", "5"],
+         ["o.tpe"]),
+    ], ids=["corrpca", "tpe"])
+    def test_fit_bytes_independent_of_blas_threads(self, tmp_path, argv, written):
+        # eigh of a 256 x 256 covariance moves low-order bits at two BLAS
+        # threads; every subcommand runs BLAS on one
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=40,
+                               samples_per_identity=10, dim=256)
+        run_cli("synth", "--spec", spec, "--out", tmp_path / "c.fds")
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "agenda.cli",
+                                   *[a.format(tmp_path) for a in argv]],
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((tmp_path / (written[0] + ".manifest.json")).read_text())
+            assert manifest["blas_threads"] == trainer.thread_plan(1)[1]
+            outputs.append([(tmp_path / name).read_bytes() for name in written])
         assert outputs[0] == outputs[1]

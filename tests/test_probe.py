@@ -3,6 +3,7 @@ import pytest
 
 from agenda import dataio, probe, synthgen
 from agenda.errors import ValidationError
+from conftest import peak_rss_mib
 
 
 def separable_2d(n=60):
@@ -130,3 +131,12 @@ class TestLeakageMonotonicity:
         model = probe.probe_train(ds.subset(fit_idx))
         report = probe.probe_eval(model, ds.subset(eval_idx))
         assert 45.0 <= report.overall_accuracy <= 55.0
+
+
+def test_512d_probe_peak_rss_is_bounded(corpus_512d, tmp_path):
+    # One float64 copy per split, standardized in place, with the corpus
+    # dropped once split: 116 MiB. Holding the corpus beside both splits,
+    # the centred temporary and the standardized copy took 170 MiB.
+    peak_mib = peak_rss_mib("probe", "--data", corpus_512d,
+                            "--report", tmp_path / "p.csv", "--seed", 3)
+    assert peak_mib < 135, peak_mib

@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from agenda import dataio, losses, nets, trainer
+from agenda import dataio, linalg, losses, nets, trainer
 from agenda.errors import NumericError, ValidationError
-from conftest import stage_sequence, tiny_config, tiny_corpus
+from conftest import peak_rss_mib, stage_sequence, tiny_config, tiny_corpus
 
 
 def snapshot(params):
@@ -30,7 +30,7 @@ class TestBalancedBatches:
 
     def test_exact_balance(self):
         ds = self.make(10, 10)
-        stream = trainer.balanced_batches(ds, 4, 0)
+        stream = trainer.balanced_batches(ds.attributes, 4, 0)
         batches = [next(stream) for _ in range(5)]
         seen = np.concatenate(batches)
         for b in batches:
@@ -41,7 +41,7 @@ class TestBalancedBatches:
 
     def test_minority_resampled(self):
         ds = self.make(100, 10)
-        stream = trainer.balanced_batches(ds, 20, 0)
+        stream = trainer.balanced_batches(ds.attributes, 20, 0)
         batches = [next(stream) for _ in range(10)]
         female_draws = []
         male_draws = []
@@ -56,28 +56,28 @@ class TestBalancedBatches:
 
     def test_deterministic_replay(self):
         ds = self.make(9, 7)
-        a = [next(trainer.balanced_batches(ds, 4, 5)) for _ in range(12)]
-        b_stream = trainer.balanced_batches(ds, 4, 5)
+        a = [next(trainer.balanced_batches(ds.attributes, 4, 5)) for _ in range(12)]
+        b_stream = trainer.balanced_batches(ds.attributes, 4, 5)
         b = [next(b_stream) for _ in range(12)]
         for x, y in zip(a[:1], b[:1]):
             assert np.array_equal(x, y)
         # same seed, one shared stream: full sequence matches a fresh stream
-        c = [next(trainer.balanced_batches(ds, 4, 5)) for _ in range(1)]
+        c = [next(trainer.balanced_batches(ds.attributes, 4, 5)) for _ in range(1)]
         assert np.array_equal(a[0], c[0])
-        stream1 = trainer.balanced_batches(ds, 4, 5)
-        stream2 = trainer.balanced_batches(ds, 4, 5)
+        stream1 = trainer.balanced_batches(ds.attributes, 4, 5)
+        stream2 = trainer.balanced_batches(ds.attributes, 4, 5)
         for _ in range(12):
             assert np.array_equal(next(stream1), next(stream2))
 
     def test_single_class_rejected(self):
         ds = self.make(5, 0)
         with pytest.raises(ValidationError):
-            next(trainer.balanced_batches(ds, 4, 0))
+            next(trainer.balanced_batches(ds.attributes, 4, 0))
 
     def test_odd_batch_rejected(self):
         ds = self.make(4, 4)
         with pytest.raises(ValidationError):
-            next(trainer.balanced_batches(ds, 3, 0))
+            next(trainer.balanced_batches(ds.attributes, 3, 0))
 
 
 class TestConfig:
@@ -205,7 +205,7 @@ class TestTrainLoop:
             adam_g = nets.AdamState(lr=lr)
             adam_c = nets.AdamState(lr=lr)
             stream = trainer.balanced_batches(
-                tds, cfg.batch_size,
+                tds.attributes, cfg.batch_size,
                 np.random.SeedSequence(cfg.seed, spawn_key=(trainer.NS_BATCHES, 0, stage)),
             )
             for _ in range(steps):
@@ -352,9 +352,9 @@ class TestWorkerCounts:
         assert trainer._stack_failure([(3, b1), (3, w1)]) is w1
 
     def test_blas_thread_count_restored(self):
-        if trainer._openblas() is None:
+        if linalg.openblas_handle() is None:
             pytest.skip("numpy has no bundled OpenBLAS with a thread-count call")
-        get_threads, set_threads = trainer._openblas()
+        get_threads, set_threads = linalg.openblas_handle()
         before = get_threads()
         set_threads(2)
         try:
@@ -403,6 +403,25 @@ class TestFrozenGeneratorPass:
             direct, _ = nets.generator_forward(gen, ds.vectors[idx])
             assert np.array_equal(full[idx], direct)
 
+    def test_gathered_rows_equal_a_pass_over_their_copy(self):
+        # the split passes gather each chunk's rows from the corpus; the
+        # bytes are those of one pass over a copy of the split
+        ds, _ = tiny_corpus(n_identities=110, samples=10, dim=64)
+        gen = nets.init_generator(ds.dim, seed=4)
+        rows = np.random.default_rng(1).permutation(ds.n)[: ds.n - 3]
+        assert len(rows) > trainer.GENERATOR_CHUNK
+        for chunk in (1, 7, trainer.GENERATOR_CHUNK, len(rows) + 1):
+            gathered = trainer._generate(gen, ds.vectors, rows, chunk=chunk)
+            copied = trainer._generate(gen, ds.vectors[rows], chunk=chunk)
+            assert gathered.tobytes() == copied.tobytes(), chunk
+
+    def test_train_leaves_the_corpus_unchanged(self):
+        ds, _ = tiny_corpus()
+        before = copy.deepcopy(ds)
+        trainer.train(ds, tiny_config())
+        for name in ("identities", "attributes", "vectors"):
+            assert getattr(ds, name).tobytes() == getattr(before, name).tobytes(), name
+
     def test_one_pass_per_generator_state(self, monkeypatch):
         # k=2, t_ep=2, three episodes: the split passes are after stage 1,
         # after each stage 3, and episode 1's stage 4 pass also feeds
@@ -429,3 +448,14 @@ class TestFrozenGeneratorPass:
         monkeypatch.setattr(nets, "generator_forward", counted)
         trainer.train(ds, cfg, stage_hook=hook)
         assert sum(rows) == 4 * len(train_idx) + 3 * len(val_idx)
+
+
+def test_512d_train_peak_rss_is_bounded(corpus_512d, tmp_path):
+    # The paper's shapes on a short schedule. With the splits as index
+    # arrays into the one corpus the peak is 136 MiB; copying the training
+    # and validation splits beside the corpus took 167 MiB.
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("k=5\nt_fc=20\nt_gtrain=10\nt_deb=5\nt_plat=5\nn_ep=2\nbatch_size=400\n")
+    peak_mib = peak_rss_mib("train", "--data", corpus_512d, "--config", cfg,
+                            "--out", tmp_path / "m.agnd", "--seed", 3)
+    assert peak_mib < 155, peak_mib

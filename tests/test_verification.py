@@ -1,12 +1,10 @@
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from agenda import dataio, verification
 from agenda.errors import DataFormatError, DimensionError, ValidationError
-from conftest import run_cli, tiny_corpus
+from conftest import peak_rss_mib, run_cli, tiny_corpus
 
 
 def write_pairs_csv(protocol, path):
@@ -296,29 +294,16 @@ class TestBoundedScoring:
         assert code == 0, err
         return corpus
 
-    @staticmethod
-    def peak_rss_mib(*argv):
-        # A child's ru_maxrss also counts the pages of the process that
-        # started it (this test runner, 170 MiB late in a full run), so the
-        # step reports its own high-water mark, VmHWM (Linux, kilobytes).
-        script = ("import sys; from agenda.cli import main; code = main(sys.argv[1:]); "
-                  "print(next(line.split()[1] for line in open('/proc/self/status') "
-                  "if line.startswith('VmHWM:'))); sys.exit(code)")
-        proc = subprocess.run([sys.executable, "-c", script, *[str(a) for a in argv]],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1]) / 1024
-
     def test_256d_eval_peak_rss_is_bounded(self, corpus_256d, tmp_path):
         # The two gathered 256-d pair blocks alone would take 3 GB in one
         # piece; blocks of 16,384 pairs kept the peak at 168 MiB.
-        peak_mib = self.peak_rss_mib("eval", "--data", corpus_256d, "--fprs", "1e-3",
+        peak_mib = peak_rss_mib("eval", "--data", corpus_256d, "--fprs", "1e-3",
                                      "--report", tmp_path / "r.csv", "--seed", 3)
         assert peak_mib < 140, peak_mib
 
     def test_256d_probe_peak_rss_is_bounded(self, corpus_256d, tmp_path):
         # With eval at about 105 MiB, probe on the 256-d corpus shares the
         # highest peak of the quick-start steps.
-        peak_mib = self.peak_rss_mib("probe", "--data", corpus_256d,
+        peak_mib = peak_rss_mib("probe", "--data", corpus_256d,
                                      "--report", tmp_path / "p.csv", "--seed", 3)
         assert peak_mib < 140, peak_mib
