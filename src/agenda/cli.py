@@ -9,7 +9,8 @@ comment lines carrying the same provenance; they contain no timestamps, so
 identical manifests produce byte-identical reports.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
-violated invariant or numeric failure. Failures print a single
+violated invariant, numeric failure or a request for more memory than
+the machine can give. Failures print a single
 machine-parseable line to stderr.
 
 Every subcommand runs numpy's BLAS on one thread whatever
@@ -395,9 +396,10 @@ def main(argv=None):
         print("agenda: error exit=3 kind=io message=%s"
               % str(exc).replace("\n", " "), file=sys.stderr)
         return 3
-    except AgendaError as exc:
+    except (AgendaError, MemoryError) as exc:
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print("agenda: error exit=4 kind=%s message=%s"
-              % (type(exc).__name__, str(exc).replace("\n", " ")), file=sys.stderr)
+              % (kind, str(exc).replace("\n", " ")), file=sys.stderr)
         return 4
     return 0
 

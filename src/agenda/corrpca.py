@@ -5,7 +5,9 @@ centered data onto every eigenvector, and measures the rank correlation of
 each projection against the attribute labels. Eigenvectors whose |corr|
 reaches the threshold are removed; the rest span the retained subspace that
 test descriptors are projected onto. The per-eigenvector correlation table
-doubles as the eigenspectrum analysis.
+doubles as the eigenspectrum analysis. The fit runs BLAS on one thread
+(``linalg.blas_threads``), so its bytes do not depend on the caller's
+thread count.
 """
 
 import struct
@@ -16,7 +18,7 @@ import numpy as np
 
 from .dataio import read_binary, write_binary
 from .errors import DataFormatError, ValidationError
-from .linalg import DegenerateInputWarning, covariance, eigh, spearman
+from .linalg import DegenerateInputWarning, blas_threads, covariance, eigh, spearman
 
 DEFAULT_DELTA = 0.1
 
@@ -25,26 +27,19 @@ _SUBSPACE_HEADER = struct.Struct("<4sII")
 
 
 @dataclass
-class EigenRecord:
-    index: int  # position in eigenvalue-descending order
-    eigenvalue: float
-    correlation: float
-    retained: bool
-
-
-@dataclass
 class CorrSubspace:
     """Fitted removal: centering mean plus the retained orthonormal rows.
 
-    ``records`` carries the full per-eigenvector fit diagnostics; it is not
-    stored in the binary subspace file, so instances loaded from disk have
-    ``records=None``.
+    ``eigenvalues`` and ``correlations`` are the per-eigenvector fit
+    diagnostics, in the order of ``retained_flags``. The binary subspace
+    file does not store them, so instances loaded from disk have None.
     """
 
     mean: np.ndarray  # (dim,)
     retained_vectors: np.ndarray  # (r, dim), orthonormal rows
     retained_flags: np.ndarray  # (dim,) bool, eigenvalue-descending order
-    records: list = None
+    eigenvalues: np.ndarray = None  # (dim,), descending
+    correlations: np.ndarray = None  # (dim,) Spearman correlation with the attribute
 
     @property
     def input_dim(self):
@@ -55,6 +50,7 @@ class CorrSubspace:
         return self.retained_vectors.shape[0]
 
 
+@blas_threads(1)
 def fit(dataset, delta=DEFAULT_DELTA):
     """Fit the removal on ``dataset`` keeping eigenvectors with |corr| < delta."""
     if not 0.0 < delta <= 1.0:
@@ -76,15 +72,12 @@ def fit(dataset, delta=DEFAULT_DELTA):
     retained = np.abs(corrs) < delta
     if not retained.any():
         raise ValidationError("delta=%g removes every eigenvector" % delta)
-    records = [
-        EigenRecord(j, float(decomp.eigenvalues[j]), float(corrs[j]), bool(retained[j]))
-        for j in range(dataset.dim)
-    ]
     return CorrSubspace(
         mean=mean,
         retained_vectors=decomp.eigenvectors[retained].copy(),
         retained_flags=retained,
-        records=records,
+        eigenvalues=decomp.eigenvalues,
+        correlations=corrs,
     )
 
 
@@ -96,8 +89,9 @@ def project(subspace, dataset):
 
 def correlation_spectrum(subspace):
     """Per-eigenvector (index, eigenvalue, |corr|) rows, eigenvalue-descending,
-    from the fit records of a ``subspace`` returned by :func:`fit`."""
-    return [(r.index, r.eigenvalue, abs(r.correlation)) for r in subspace.records]
+    from the fit diagnostics of a ``subspace`` returned by :func:`fit`."""
+    return [(j, float(ev), abs(float(corr)))
+            for j, (ev, corr) in enumerate(zip(subspace.eigenvalues, subspace.correlations))]
 
 
 def save_subspace(subspace, path):

@@ -46,9 +46,9 @@ def openblas_handle():
 def blas_threads(count):
     """Numpy's BLAS on ``count`` threads for the body, the previous count
     restored after. Yields the count in force: ``count``, or None when
-    ``count`` is None or there is no handle on the count, and the
-    environment's count stays."""
-    handle = None if count is None else openblas_handle()
+    there is no handle on the count, and the environment's count stays.
+    Also a decorator, for a function's whole body."""
+    handle = openblas_handle()
     if handle is None:
         yield None
         return

@@ -2,16 +2,14 @@
 
 Each loss reduces to a batch mean (per-member losses are summed across the
 ensemble), so the debiasing weight keeps the same meaning at any batch
-size. Probabilities are clamped at 1e-12 before the log; the clamp count
-is reported in the breakdown, and gradients keep the -1/p form at the
-clamp so a saturated prediction still pushes back instead of dying.
+size. Each objective is a plain float. Probabilities are clamped at 1e-12
+before the log, and gradients keep the -1/p form at the clamp so a
+saturated prediction still pushes back instead of dying.
 
 Gradients here are with respect to the loss *inputs* (probability rows);
 composing them with the network backward passes yields the gradients the
 trainer applies.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +17,6 @@ from .errors import DimensionError, ValidationError
 
 LOG_CLAMP = 1e-12
 UNIFORM_PAIR_LOSS = float(np.log(2.0))  # global minimum of the confusion loss
-
-
-@dataclass
-class LossValue:
-    """Scalar objective plus a named breakdown of its terms."""
-
-    value: float
-    breakdown: dict = field(default_factory=dict)
 
 
 def _clamped_log(p):
@@ -50,9 +40,7 @@ def _true_class_probs(probs, labels, n_classes_name, stacked=False):
 def l_class(probs, y_id):
     """Mean cross-entropy of the classifier rows against identity labels."""
     p_true = _true_class_probs(probs, y_id, "identity classes")
-    clamped = int(np.count_nonzero(p_true < LOG_CLAMP))
-    value = float(-_clamped_log(p_true).mean())
-    return LossValue(value, {"clamped": float(clamped)})
+    return float(-_clamped_log(p_true).mean())
 
 
 def l_class_grad(probs, y_id):
@@ -71,12 +59,10 @@ def l_g_member(out, y_g):
     ``out`` columns are indexed by attribute code, so the probability of
     the true attribute is a plain row gather. A stacked ``(k, n, 2)``
     input holds k members; the value is then the sum of their losses, the
-    ensemble objective that ``l_g`` breaks down per member.
+    ensemble objective ``l_g`` sums from a list of members.
     """
     p_true = _true_class_probs(out, y_g, "attribute classes", stacked=True)
-    clamped = int(np.count_nonzero(p_true < LOG_CLAMP))
-    value = float(-_clamped_log(p_true).mean(axis=-1).sum())
-    return LossValue(value, {"clamped": float(clamped)})
+    return float(-_clamped_log(p_true).mean(axis=-1).sum())
 
 
 def l_g_member_grad(out, y_g):
@@ -93,13 +79,7 @@ def l_g(member_outputs, y_g):
     """Sum of per-member attribute cross-entropies over the whole ensemble."""
     if len(member_outputs) < 1:
         raise ValidationError("l_g needs at least one ensemble member")
-    breakdown = {}
-    total = 0.0
-    for k, out in enumerate(member_outputs):
-        member = l_g_member(out, y_g)
-        breakdown["member_%d" % k] = member.value
-        total += member.value
-    return LossValue(float(total), breakdown)
+    return sum(l_g_member(out, y_g) for out in member_outputs)
 
 
 def l_a(out):
@@ -111,9 +91,7 @@ def l_a(out):
     out = np.asarray(out, dtype=np.float64)
     if out.ndim != 2 or out.shape[1] != 2:
         raise DimensionError("l_a expects (n, 2) probability rows")
-    clamped = int(np.count_nonzero(out < LOG_CLAMP))
-    value = float(-(0.5 * _clamped_log(out)).sum(axis=1).mean())
-    return LossValue(value, {"clamped": float(clamped)})
+    return float(-(0.5 * _clamped_log(out)).sum(axis=1).mean())
 
 
 def l_a_grad(out):
@@ -131,19 +109,12 @@ def l_deb(member_values):
     """
     if len(member_values) < 1:
         raise ValidationError("l_deb needs at least one member value")
-    values = np.asarray(
-        [v.value if isinstance(v, LossValue) else float(v) for v in member_values]
-    )
-    k = int(np.argmax(values))
-    return LossValue(float(values[k]), {"member": float(k)}), k
+    k = int(np.argmax(member_values))
+    return float(member_values[k]), k
 
 
-def l_br(class_loss, deb_loss, lam):
+def l_br(class_value, deb_value, lam):
     """Combined objective: identity term plus ``lam`` times the debias term."""
     if lam < 0:
         raise ValidationError("debiasing weight must be >= 0")
-    value = class_loss.value + lam * deb_loss.value
-    return LossValue(
-        float(value),
-        {"l_class": class_loss.value, "l_deb": deb_loss.value, "lambda": float(lam)},
-    )
+    return class_value + lam * deb_value

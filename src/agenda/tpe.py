@@ -12,7 +12,8 @@ descriptors (an orthonormal, cosine-preserving warm start when the input
 dimension is at most 128) with small seeded noise filling any leftover
 columns. A full run trains ``repeats`` independent matrices from seeds
 spawned off the run seed (spawn key ``(r,)``) and averages them
-element-wise.
+element-wise, with BLAS on one thread (``linalg.blas_threads``) so the
+matrix bytes do not depend on the caller's thread count.
 """
 
 import struct
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dataio import read_binary, write_binary
 from .errors import NumericError, ValidationError
-from .linalg import covariance, eigh
+from .linalg import blas_threads, covariance, eigh
 
 EMBED_DIM = 128
 DEFAULT_REPEATS = 10
@@ -119,6 +120,7 @@ def tpe_train_single(dataset, decomp, iterations=DEFAULT_ITERATIONS, rate=DEFAUL
     return w
 
 
+@blas_threads(1)
 def tpe_train(dataset, repeats=DEFAULT_REPEATS, iterations=DEFAULT_ITERATIONS,
               rate=DEFAULT_RATE, batch=DEFAULT_BATCH, seed=0):
     """Average of ``repeats`` independent runs seeded by spawn keys (0,)..(r-1,);

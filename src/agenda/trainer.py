@@ -145,7 +145,6 @@ class LogRecord:
 class TrainLog:
     records: list = field(default_factory=list)
     workers: int = 1  # threads training ran on
-    blas_threads: int = None  # BLAS thread count it ran with; None: the environment's
 
     def append(self, **kw):
         self.records.append(LogRecord(**kw))
@@ -252,13 +251,13 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
                 lam * losses.l_a_grad(outs[kstar]), param_grad=False,
             )
     lc, cgrads, d_f = classified.result()
-    row = dict(l_class=lc.value)
+    row = dict(l_class=lc)
     if ensemble is None:
-        _check_finite(lc.value, *where)
+        _check_finite(lc, *where)
     else:
         lbr = losses.l_br(lc, ld, lam)
-        _check_finite(lbr.value, *where)
-        row.update(l_deb=ld.value, l_br=lbr.value, member_k=kstar)
+        _check_finite(lbr, *where)
+        row.update(l_deb=ld, l_br=lbr, member_k=kstar)
         if lam > 0:
             d_f = d_f + d_f_deb
     moved = pool.submit(nets.adam_step, adam_cls, cls, cgrads)
@@ -272,7 +271,7 @@ def _discriminator_step(disc, adam, f_out, y_g, where):
     """One attribute-loss update of one member (stage 4) or of a stack of
     members (stage 2); generator and classifier stay frozen."""
     out, dcache = nets.discriminator_forward(disc, f_out)
-    _check_finite(losses.l_g_member(out, y_g).value, *where)
+    _check_finite(losses.l_g_member(out, y_g), *where)
     grads, _ = nets.discriminator_backward(
         disc, dcache, losses.l_g_member_grad(out, y_g), input_grad=False
     )
@@ -309,16 +308,14 @@ def _stack_failure(failures):
 
 
 def thread_plan(k):
-    """(workers, BLAS threads) for one training run.
-
-    One worker per usable core, at most one per ensemble member, with BLAS
-    on one thread. Without a handle on numpy's BLAS thread count, training
-    runs on one thread and BLAS keeps the environment's count (None).
+    """Worker count for one training run: one per usable core, at most one
+    per ensemble member. Without a handle on numpy's BLAS thread count,
+    BLAS keeps the environment's count and training runs on one thread.
     """
     if linalg.openblas_handle() is None:
-        return 1, None
+        return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(k, cores or 1), 1
+    return min(k, cores or 1)
 
 
 class _Inline:
@@ -341,10 +338,10 @@ _INLINE = _Inline()
 
 
 @contextlib.contextmanager
-def _worker_pool(workers, blas_threads):
-    """``workers - 1`` threads beside the caller, with BLAS at
-    ``blas_threads`` (when not None) until the pool closes."""
-    with linalg.blas_threads(blas_threads):
+def _worker_pool(workers):
+    """``workers - 1`` threads beside the caller, with BLAS on one thread
+    until the pool closes."""
+    with linalg.blas_threads(1):
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -392,10 +389,10 @@ def train(dataset, config, stage_hook=None):
         return nets.init_ensemble(config.k, ss_e)
 
     ensemble = fresh_ensemble(0)
-    workers, blas_threads = thread_plan(config.k)
+    workers = thread_plan(config.k)
     groups = [ensemble.member_slice(part[0], part[-1] + 1)  # larger groups first
               for part in np.array_split(np.arange(config.k), workers)]
-    log = TrainLog(workers=workers, blas_threads=blas_threads)
+    log = TrainLog(workers=workers)
     f_train = None  # generator output over the split while the generator is frozen
 
     @contextlib.contextmanager
@@ -450,7 +447,7 @@ def train(dataset, config, stage_hook=None):
             for n in range(config.t_gtrain):
                 log.append(episode=episode, stage=2, iteration=n)
 
-    with _worker_pool(workers, blas_threads) as pool:
+    with _worker_pool(workers) as pool:
         for episode in range(config.n_ep):
             if episode == 0:
                 class_stage(episode, 1, config.t_fc, config.alpha1)

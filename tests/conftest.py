@@ -5,6 +5,7 @@ the CLI) takes a few minutes and is shared by several acceptance criteria;
 it runs at most once per session.
 """
 
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from agenda import synthgen, trainer
+from agenda import linalg, synthgen, trainer
 
 
 def tiny_corpus(seed=3, n_identities=12, samples=8, dim=10, **kw):
@@ -33,6 +34,15 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return trainer.TrainConfig(**base)
+
+
+def require_two_blas_threads():
+    """Skip the calling test unless numpy's BLAS thread count can be set
+    and a second core makes two BLAS threads split the work."""
+    if linalg.openblas_handle() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with a thread-count call")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one core: two BLAS threads split nothing")
 
 
 def stage_sequence(log):

@@ -121,7 +121,7 @@ class TestCriterion1Gradients:
             def loss_class():
                 f, _ = nets.generator_forward(gen, x)
                 probs, _ = nets.classifier_forward(cls, f)
-                return losses.l_class(probs, y_id).value
+                return losses.l_class(probs, y_id)
 
             analytic = grads_l_class(gen, cls, x, y_id)
             worst = fd_check(
@@ -134,7 +134,7 @@ class TestCriterion1Gradients:
             def loss_g():
                 f, _ = nets.generator_forward(gen, x)
                 outs = [nets.discriminator_forward(m, f)[0] for m in members]
-                return losses.l_g(outs, y_g).value
+                return losses.l_g(outs, y_g)
 
             analytic = grads_l_g(gen, members, x, y_g)
             worst = fd_check(loss_g, list(param_blocks(analytic)), [gen] + members)
@@ -144,7 +144,7 @@ class TestCriterion1Gradients:
             def loss_a():
                 f, _ = nets.generator_forward(gen, x)
                 out, _ = nets.discriminator_forward(members[0], f)
-                return losses.l_a(out).value
+                return losses.l_a(out)
 
             f, gc = nets.generator_forward(gen, x)
             out0, dc0 = nets.discriminator_forward(members[0], f)
@@ -159,7 +159,7 @@ class TestCriterion1Gradients:
                 la = [
                     losses.l_a(nets.discriminator_forward(m, f)[0]) for m in members
                 ]
-                return losses.l_deb(la)[0].value
+                return losses.l_deb(la)[0]
 
             gg, mg, kstar = grads_l_deb(gen, members, x)
             worst = fd_check(
@@ -178,7 +178,7 @@ class TestCriterion1Gradients:
                     losses.l_a(nets.discriminator_forward(m, f)[0]) for m in members
                 ]
                 ld, _ = losses.l_deb(la)
-                return losses.l_br(losses.l_class(probs, y_id), ld, lam).value
+                return losses.l_br(losses.l_class(probs, y_id), ld, lam)
 
             gg_class, cgrads = grads_l_class(gen, cls, x, y_id)
             gg_deb, _, _ = grads_l_deb(gen, members, x, lam=lam)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from agenda import cli, dataio, probe, tpe, trainer, verification
+from agenda import cli, dataio, linalg, probe, tpe, trainer, verification
 from conftest import run_cli, tiny_corpus
 
 
@@ -166,6 +166,26 @@ class TestNoTraceback:
         if code != 2:
             assert err.count("\n") == 1 and err.startswith("agenda: error exit=%d" % code)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--data", "{data}", "--report", "{out}", "--impostor-ratio", "1e12"],
+        ["synth", "--spec", "{spec}", "--out", "{out}"],
+        ["tpe", "--train", "{data}", "--out", "{out}", "--batch", "100000000000000"],
+    ], ids=["eval impostors", "synth corpus", "tpe batch"])
+    def test_request_beyond_the_address_space_is_4(self, tmp_path, capsys, argv):
+        # Each asks numpy for one array larger than the 128 TiB user address
+        # space (about 1.7e14 impostor indices, 186 TiB of corpus vectors,
+        # 1e14 triplet indices), so the allocation fails before any page is
+        # touched.
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=1000000000, dim=512,
+                               samples_per_identity=50)
+        out = tmp_path / "out"
+        assert cli.main([a.format(data=data, spec=spec, out=out) for a in argv]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("agenda: error exit=4 kind=MemoryError ")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_tpe_is_4_and_writes_no_matrix(self, tmp_path, capsys):
@@ -338,7 +358,8 @@ class TestManifests:
         ]
         keys = {"tool_version", "subcommand", "options", "inputs", "outputs", "seed",
                 "blas_threads", "wall_time_s"}
-        workers, blas_threads = trainer.thread_plan(2)
+        workers = trainer.thread_plan(2)
+        blas_threads = 1 if linalg.openblas_handle() else None
         for argv, path, options, inputs, outputs, seed in runs:
             assert cli.main(argv) == 0, argv
             manifest = json.loads(open(path, encoding="utf-8").read())
@@ -634,6 +655,6 @@ class TestDeterminism:
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             manifest = json.loads((tmp_path / (written[0] + ".manifest.json")).read_text())
-            assert manifest["blas_threads"] == trainer.thread_plan(1)[1]
+            assert manifest["blas_threads"] == (1 if linalg.openblas_handle() else None)
             outputs.append([(tmp_path / name).read_bytes() for name in written])
         assert outputs[0] == outputs[1]

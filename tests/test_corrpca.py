@@ -5,7 +5,7 @@ import pytest
 
 from agenda import corrpca, dataio, linalg, synthgen
 from agenda.errors import DataFormatError, DimensionError, ValidationError
-from conftest import tiny_corpus
+from conftest import require_two_blas_threads, tiny_corpus
 
 
 def planted_axis_corpus(seed=21, n_identities=100, samples=50, dim=64):
@@ -44,7 +44,7 @@ class TestFit:
         ds, _ = planted_axis_corpus(n_identities=30, samples=10, dim=12)
         sub = corrpca.fit(ds, delta=0.1)
         assert sub.retained_count + (~sub.retained_flags).sum() == ds.dim
-        assert len(sub.records) == ds.dim
+        assert len(sub.eigenvalues) == len(sub.correlations) == ds.dim
 
     def test_delta_validation(self):
         ds, _ = planted_axis_corpus(n_identities=10, samples=5, dim=8)
@@ -93,9 +93,7 @@ class TestProject:
         proj = corrpca.project(sub, ds)
         back = proj.vectors @ sub.retained_vectors + sub.mean
         err = float(((ds.vectors - back) ** 2).sum())
-        removed_energy = sum(
-            rec.eigenvalue for rec in sub.records if not rec.retained
-        ) * (ds.n - 1)
+        removed_energy = sub.eigenvalues[~sub.retained_flags].sum() * (ds.n - 1)
         assert err == pytest.approx(removed_energy, rel=1e-6)
 
     def test_single_record_explicit_dots(self):
@@ -172,6 +170,7 @@ class TestSubspaceFile:
         assert np.array_equal(sub.mean, again.mean)
         assert np.array_equal(sub.retained_vectors, again.retained_vectors)
         assert np.array_equal(sub.retained_flags, again.retained_flags)
+        assert again.eigenvalues is None and again.correlations is None
         proj_a = corrpca.project(sub, ds)
         proj_b = corrpca.project(again, ds)
         assert np.array_equal(proj_a.vectors, proj_b.vectors)
@@ -219,3 +218,17 @@ class TestSingleDecomposition:
         monkeypatch.setattr(corrpca, "eigh", lambda *a: calls.append(a))
         assert corrpca.correlation_spectrum(sub) == recomputed
         assert calls == []
+
+
+class TestBlasThreads:
+    def test_fit_bytes_independent_of_caller_blas_threads(self):
+        # eigh of a 256 x 256 covariance moves low-order bits at two BLAS
+        # threads; fit runs BLAS on one whatever its caller set
+        require_two_blas_threads()
+        ds, _ = tiny_corpus(n_identities=40, samples=10, dim=256)
+        fits = []
+        for threads in (1, 2):
+            with linalg.blas_threads(threads):
+                sub = corrpca.fit(ds)
+            fits.append((sub.retained_vectors.tobytes(), corrpca.correlation_spectrum(sub)))
+        assert fits[0] == fits[1]

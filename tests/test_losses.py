@@ -8,21 +8,19 @@ from agenda.errors import ValidationError
 class TestLClass:
     def test_perfect_prediction_zero(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert losses.l_class(probs, [0, 1]).value == pytest.approx(0.0, abs=1e-10)
+        assert losses.l_class(probs, [0, 1]) == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_is_log_n(self):
         probs = np.full((3, 7), 1.0 / 7)
-        assert losses.l_class(probs, [0, 3, 6]).value == pytest.approx(np.log(7))
+        assert losses.l_class(probs, [0, 3, 6]) == pytest.approx(np.log(7))
 
     def test_direct_value(self):
         probs = np.array([[0.7, 0.2, 0.1]])
-        assert losses.l_class(probs, [0]).value == pytest.approx(-np.log(0.7))
+        assert losses.l_class(probs, [0]) == pytest.approx(-np.log(0.7))
 
     def test_clamp_flagged(self):
         probs = np.array([[1.0, 0.0]])
-        lv = losses.l_class(probs, [1])
-        assert lv.breakdown["clamped"] == 1.0
-        assert lv.value == pytest.approx(-np.log(1e-12))
+        assert losses.l_class(probs, [1]) == pytest.approx(-np.log(1e-12))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -38,19 +36,19 @@ class TestLClass:
         for r, c in [(0, 0), (1, 2), (3, 1), (2, 3)]:
             bumped = probs.copy()
             bumped[r, c] += h
-            fd = (losses.l_class(bumped, y).value - losses.l_class(probs, y).value) / h
+            fd = (losses.l_class(bumped, y) - losses.l_class(probs, y)) / h
             assert grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 class TestLG:
     def test_single_member_perfect(self):
         out = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert losses.l_g([out], np.array([1, 0])).value == pytest.approx(0.0, abs=1e-9)
+        assert losses.l_g([out], np.array([1, 0])) == pytest.approx(0.0, abs=1e-9)
 
     def test_three_members_at_half(self):
         out = np.full((5, 2), 0.5)
         lv = losses.l_g([out, out, out], np.array([0, 1, 0, 1, 0]))
-        assert lv.value == pytest.approx(3 * np.log(2))
+        assert lv == pytest.approx(3 * np.log(2))
 
     def test_sum_of_independent_members(self):
         rng = np.random.default_rng(4)
@@ -59,9 +57,10 @@ class TestLG:
         for _ in range(2):
             raw = rng.uniform(0.1, 1.0, size=(6, 2))
             outs.append(raw / raw.sum(axis=1, keepdims=True))
-        total = losses.l_g(outs, y).value
-        parts = sum(losses.l_g([o], y).value for o in outs)
+        total = losses.l_g(outs, y)
+        parts = sum(losses.l_g([o], y) for o in outs)
         assert total == pytest.approx(parts)
+        assert total == pytest.approx(losses.l_g_member(np.stack(outs), y))
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValidationError):
@@ -70,24 +69,24 @@ class TestLG:
 
 class TestLA:
     def test_half_half_is_global_minimum(self):
-        assert losses.l_a(np.full((3, 2), 0.5)).value == pytest.approx(np.log(2))
+        assert losses.l_a(np.full((3, 2), 0.5)) == pytest.approx(np.log(2))
 
     def test_direct_value(self):
         lv = losses.l_a(np.array([[0.9, 0.1]]))
-        assert lv.value == pytest.approx(-(0.5 * np.log(0.9) + 0.5 * np.log(0.1)))
+        assert lv == pytest.approx(-(0.5 * np.log(0.9) + 0.5 * np.log(0.1)))
 
     def test_swap_symmetric(self):
         rng = np.random.default_rng(5)
         raw = rng.uniform(0.05, 1.0, size=(6, 2))
         out = raw / raw.sum(axis=1, keepdims=True)
-        assert losses.l_a(out).value == pytest.approx(losses.l_a(out[:, ::-1]).value)
+        assert losses.l_a(out) == pytest.approx(losses.l_a(out[:, ::-1]))
 
     def test_floor_log2(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             raw = rng.uniform(1e-6, 1.0, size=(4, 2))
             out = raw / raw.sum(axis=1, keepdims=True)
-            assert losses.l_a(out).value >= np.log(2) - 1e-12
+            assert losses.l_a(out) >= np.log(2) - 1e-12
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(7)
@@ -98,19 +97,18 @@ class TestLA:
         for r, c in [(0, 0), (1, 1), (2, 0)]:
             bumped = out.copy()
             bumped[r, c] += h
-            fd = (losses.l_a(bumped).value - losses.l_a(out).value) / h
+            fd = (losses.l_a(bumped) - losses.l_a(out)) / h
             assert grad[r, c] == pytest.approx(fd, rel=1e-5)
 
 
 class TestLDeb:
     def test_max_and_index(self):
         lv, k = losses.l_deb([0.2, 0.9, 0.5])
-        assert (lv.value, k) == (0.9, 1)
+        assert (lv, k) == (0.9, 1)
 
     def test_single_member(self):
-        member = losses.LossValue(0.77)
-        lv, k = losses.l_deb([member])
-        assert lv.value == 0.77 and k == 0
+        lv, k = losses.l_deb([0.77])
+        assert lv == 0.77 and k == 0
 
     def test_tie_lowest_index(self):
         _, k = losses.l_deb([0.4, 0.9, 0.9])
@@ -120,25 +118,16 @@ class TestLDeb:
         rng = np.random.default_rng(8)
         values = rng.uniform(0.7, 1.5, size=6).tolist()
         lv, _ = losses.l_deb(values)
-        assert all(lv.value >= v for v in values)
+        assert all(lv >= v for v in values)
 
 
 class TestLBr:
     def test_arithmetic(self):
-        lv = losses.l_br(losses.LossValue(1.0), losses.LossValue(0.5), 10.0)
-        assert lv.value == pytest.approx(6.0)
+        assert losses.l_br(1.0, 0.5, 10.0) == pytest.approx(6.0)
 
     def test_lambda_zero_is_class_loss(self):
-        lv = losses.l_br(losses.LossValue(1.23), losses.LossValue(9.9), 0.0)
-        assert lv.value == 1.23
-
-    def test_breakdown_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            lc, ld, lam = rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0, 5)
-            lv = losses.l_br(losses.LossValue(lc), losses.LossValue(ld), lam)
-            assert abs(lv.value - (lv.breakdown["l_class"] + lv.breakdown["lambda"] * lv.breakdown["l_deb"])) < 1e-12
+        assert losses.l_br(1.23, 9.9, 0.0) == 1.23
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
-            losses.l_br(losses.LossValue(1.0), losses.LossValue(1.0), -0.1)
+            losses.l_br(1.0, 1.0, -0.1)

@@ -3,9 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from agenda import dataio, tpe
+from agenda import dataio, linalg, tpe
 from agenda.errors import DataFormatError, DimensionError, NumericError, ValidationError
-from conftest import tiny_corpus
+from conftest import require_two_blas_threads, tiny_corpus
 
 
 def triplet_loss(w, a, p, n):
@@ -52,6 +52,17 @@ class TestTraining:
         avg = tpe.tpe_train(ds, repeats=3, iterations=3, seed=5)
         assert len(calls) == 1
         assert np.array_equal(avg, sum(singles) / 3)
+
+    def test_matrix_bytes_independent_of_caller_blas_threads(self):
+        # the warm start's eigh of a 256 x 256 covariance moves low-order
+        # bits at two BLAS threads; training runs BLAS on one
+        require_two_blas_threads()
+        ds, _ = tiny_corpus(n_identities=40, samples=10, dim=256)
+        matrices = []
+        for threads in (1, 2):
+            with linalg.blas_threads(threads):
+                matrices.append(tpe.tpe_train(ds, repeats=1, iterations=5).tobytes())
+        assert matrices[0] == matrices[1]
 
     def test_deterministic(self):
         ds, _ = tiny_corpus()
