@@ -262,7 +262,7 @@ def _cmd_sweep(args):
             config.validate()
         variants = ((label, _trained(dataset, config)) for label, config in configs)
     table = verification.ablation_sweep(
-        dataset, variants, args.fpr, args.impostor_ratio, seed, args.probe_fraction, seed,
+        dataset, variants, args.fpr, args.impostor_ratio, seed, args.probe_fraction,
     )
     write_csv_report(
         args.report,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_binary, write_binary
+from .dataio import read_binary, refuse_zero_sizes, write_binary
 from .errors import DataFormatError, ValidationError
 from .linalg import DegenerateInputWarning, blas_threads, covariance, eigh, spearman
 
@@ -104,10 +104,11 @@ def save_subspace(subspace, path):
 
 
 def load_subspace(path):
-    _, (mean, flags, rows) = read_binary(
+    sizes, (mean, flags, rows) = read_binary(
         path, _SUBSPACE_HEADER, SUBSPACE_MAGIC,
         lambda dim, r: [("<f8", (dim,)), ("u1", (dim,)), ("<f8", (r, dim))],
     )
+    refuse_zero_sizes("subspace", *sizes)
     if np.any(flags > 1):
         raise DataFormatError("bad_flag", "retained flag byte outside {0, 1}")
     if int(flags.sum()) != rows.shape[0]:

@@ -179,9 +179,14 @@ def read_binary(path, header, magic, layout, version=None):
     return fields, blocks
 
 
+def refuse_zero_sizes(what, *sizes):
+    """A header size of 0 is ``truncated``: no file the package writes has one."""
+    if min(sizes) < 1:
+        raise DataFormatError("truncated", "%s header declares a zero size: %s" % (what, sizes))
+
+
 def _dataset_layout(count, dim):
-    if dim < 1:
-        raise DataFormatError("truncated", "header declares dim=0")
+    refuse_zero_sizes("dataset", dim)
     record = 8 + 1 + 4 * dim  # identity u64, attribute u8, vector dim x f32
     # Datasets meet the cap before the file size, so a huge record count is
     # too_large even in a short file; a dim whose one record exceeds the cap
@@ -213,29 +218,21 @@ def read_dataset(path):
 def split_by_identity(dataset, heldout_fraction, seed):
     """Split record indices into (main, heldout) with disjoint identities.
 
-    Identities are shuffled by ``seed`` and moved to the heldout side until
-    it holds at least ``heldout_fraction`` of the records. Record order is
-    preserved within each side.
+    The sorted identities, shuffled by ``seed``, move to the heldout side in
+    that order until it holds at least ``heldout_fraction`` of the records.
+    Record order is preserved within each side.
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise ValidationError("heldout_fraction must be in (0, 1)")
     rng = np.random.Generator(np.random.Philox(seed))
-    ids = np.unique(dataset.identities)
+    ids, counts = np.unique(dataset.identities, return_counts=True)
     if len(ids) < 2:
         raise ValidationError("need at least 2 identities to split")
     order = rng.permutation(len(ids))
-    target = heldout_fraction * dataset.n
-    counts = {i: c for i, c in zip(*np.unique(dataset.identities, return_counts=True))}
-    heldout_ids = []
-    total = 0
-    for pos in order:
-        if total >= target:
-            break
-        heldout_ids.append(ids[pos])
-        total += counts[ids[pos]]
-    if len(heldout_ids) == len(ids):
+    taken = np.searchsorted(np.cumsum(counts[order]), heldout_fraction * dataset.n) + 1
+    if taken >= len(ids):
         raise ValidationError("heldout fraction leaves no identities for the main split")
-    mask = np.isin(dataset.identities, np.asarray(heldout_ids, dtype=np.uint64))
+    mask = np.isin(dataset.identities, ids[order[:taken]])
     return np.flatnonzero(~mask), np.flatnonzero(mask)
 
 

@@ -136,15 +136,14 @@ def eigh(a):
 
 
 def average_ranks(values):
-    """Ranks 1..n with ties assigned the mean of their covered positions."""
+    """Ranks 1..n, ``#less + (#equal + 1) / 2``: ties share the mean of their
+    positions, ``-0.0`` ties ``0.0``, and NaNs rank last, in input order."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    ends = np.r_[starts[1:], len(values)]
-    mean_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(mean_rank, ends - starts)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # a group of c equal values covers end - c + 1 .. end
+    ranks = ((ends - counts + 1 + ends) / 2.0)[inverse]
+    nan = np.isnan(values)  # np.unique's sort need not keep NaNs in input order
+    ranks[nan] = np.arange(len(values) - np.count_nonzero(nan), len(values)) + 1.0
     return ranks
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_binary, write_binary
-from .errors import DataFormatError, DimensionError, NumericError, StateError
+from .dataio import read_binary, refuse_zero_sizes, write_binary
+from .errors import DimensionError, NumericError, StateError
 
 GENERATOR_UNITS = 256
 DISCRIMINATOR_HIDDEN = 128
@@ -361,8 +361,7 @@ def load_checkpoint(path):
     shapes = []
 
     def layout(in_dim, units, n_identities, k, hidden):
-        if min(in_dim, units, n_identities, hidden) < 1:
-            raise DataFormatError("truncated", "checkpoint header declares a zero dimension")
+        refuse_zero_sizes("checkpoint", in_dim, units, n_identities, k, hidden)
         shapes.extend((((in_dim, units), (units,), (units,)),
                        ((units, n_identities), (n_identities,)),
                        ((units, hidden), (hidden,), (hidden, 2), (2,))))

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .dataio import read_binary, write_binary
+from .dataio import read_binary, refuse_zero_sizes, write_binary
 from .errors import NumericError, ValidationError
 from .linalg import blas_threads, covariance, eigh
 
@@ -145,6 +145,7 @@ def save_tpe(w, path):
 
 
 def load_tpe(path):
-    _, (w,) = read_binary(path, _TPE_HEADER, TPE_MAGIC,
-                          lambda in_dim, out_dim: [("<f8", (in_dim, out_dim))])
+    sizes, (w,) = read_binary(path, _TPE_HEADER, TPE_MAGIC,
+                              lambda in_dim, out_dim: [("<f8", (in_dim, out_dim))])
+    refuse_zero_sizes("matrix", *sizes)
     return w.copy()

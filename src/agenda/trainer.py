@@ -369,13 +369,11 @@ def train(dataset, config, stage_hook=None):
         dataset, config.validation_fraction,
         np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,)),
     )
-    train_ids = dataset.identities[train_idx]
+    class_ids, y_id_all = np.unique(dataset.identities[train_idx], return_inverse=True)
     train_attrs = dataset.attributes[train_idx]
-    if len(np.unique(train_ids)) < 2 or len(np.unique(train_attrs)) < 2:
+    if len(class_ids) < 2 or len(np.unique(train_attrs)) < 2:
         raise ValidationError("training split lost an identity or attribute class")
 
-    class_ids = np.unique(train_ids)
-    y_id_all = np.searchsorted(class_ids, train_ids)
     y_g_all = train_attrs.astype(np.int64)
     val_attrs = dataset.attributes[val_idx].astype(np.int64)
 

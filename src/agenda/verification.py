@@ -9,7 +9,7 @@ exactly with exhaustive threshold enumeration. The bias at an FPR is the
 absolute TPR gap between the male-male and female-female protocols.
 """
 
-import math
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,12 +188,8 @@ def _group_operating_points(genuine_scores, impostor_scores, fpr_targets, group,
                 "group %s: target FPR %g below 1/%d impostors; achieved FPR is 0"
                 % (GROUP_NAMES[group], target, m)
             )
-        k = min(int(math.floor(target * m)), m - 1)
-        # Fix up float rounding with the comparison the rule is defined by.
-        while k + 1 <= m - 1 and (k + 1) / m <= target:
-            k += 1
-        while k > 0 and k / m > target:
-            k -= 1
+        # The largest k < m with k / m <= target, by the rule's own comparison.
+        k = bisect.bisect_right(range(m), target, key=lambda j: j / m) - 1
         threshold = float(imp_desc[k])
         tpr = float(np.mean(genuine_scores > threshold))
         achieved = float(np.mean(impostor_scores > threshold))
@@ -279,19 +275,19 @@ def write_report_csv(report, path, comments=()):
 
 
 def ablation_sweep(dataset, variants, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
-                   pair_seed=0, probe_fraction=0.3, probe_seed=0):
+                   seed=0, probe_fraction=0.3):
     """Evaluate each variant of ``dataset``; emits one table row each.
 
     ``variants`` is an iterable of ``(label, DescriptorDataset)``, each a
     record-for-record transform of ``dataset`` (same order), so one pair
-    protocol and one identity-disjoint probe split, built on ``dataset``,
-    serve them all. A generator may build each variant on demand; a variant
-    is released before the next one is requested. Returns rows of
-    (label, tpr_m, tpr_f, bias, probe_accuracy_pct).
+    protocol and one identity-disjoint probe split, built on ``dataset``
+    from ``seed``, serve them all. A generator may build each variant on
+    demand; a variant is released before the next one is requested.
+    Returns rows of (label, tpr_m, tpr_f, bias, probe_accuracy_pct).
     """
     check_fpr_targets((fpr,))  # before the first variant is built
-    protocol = make_pairs(dataset, impostor_ratio, pair_seed)
-    fit_idx, eval_idx = split_by_identity(dataset, probe_fraction, probe_seed)
+    protocol = make_pairs(dataset, impostor_ratio, seed)
+    fit_idx, eval_idx = split_by_identity(dataset, probe_fraction, seed)
     rows = []
     for label, variant in variants:
         report = evaluate(variant, protocol, (fpr,))

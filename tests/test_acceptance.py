@@ -455,8 +455,7 @@ class TestCriterion8LambdaTrends:
                 for lam in lambdas
             )
             rows = verification.ablation_sweep(
-                ds, variants, fpr, impostor_ratio=2.0, pair_seed=seed,
-                probe_fraction=0.3, probe_seed=seed,
+                ds, variants, fpr, impostor_ratio=2.0, seed=seed, probe_fraction=0.3,
             )
             for (label, tpr_m, tpr_f, bias_v, acc), lam in zip(rows, lambdas):
                 probe_acc[lam].append(acc)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from agenda import cli, dataio, linalg, probe, tpe, trainer, verification
+from agenda import cli, dataio, linalg, nets, probe, tpe, trainer, verification
 from conftest import run_cli, tiny_corpus
 
 
@@ -260,6 +260,43 @@ class TestNoTraceback:
         assert code == 4
         assert err.count("\n") == 1 and err.startswith("agenda: error exit=4 kind=ValidationError")
         assert not report.exists()
+
+
+def _zero_size_files(dim):
+    gen, cls = nets.init_generator(dim, 0), nets.init_classifier(2, 0)
+    k, hidden = 0, nets.DISCRIMINATOR_HIDDEN
+    agnd = struct.pack("<4sIIIIII", b"AGND", 1, dim, *cls.weight.shape, k, hidden)
+    return {
+        "no retained rows": struct.pack("<4sII", b"CPCA", dim, 0) + bytes(9 * dim),
+        "dim 0 subspace": struct.pack("<4sII", b"CPCA", 0, 0),
+        "out_dim 0 matrix": struct.pack("<4sII", b"TPE1", dim, 0),
+        "k 0 checkpoint": agnd + gen.flat.tobytes() + cls.flat.tobytes(),
+    }
+
+
+class TestZeroSizeHeaders:
+    """A header that declares a zero size is a truncated file (exit 3), as
+    a dataset of dim 0 is, not an empty map that writes an unreadable
+    dataset."""
+
+    @pytest.mark.parametrize("case, argv", [
+        pytest.param(case, argv, id=case) for case, argv in (
+            ("no retained rows", ["corrpca", "--apply", "{data}", "--subspace", "{map}"]),
+            ("dim 0 subspace", ["corrpca", "--apply", "{data}", "--subspace", "{map}"]),
+            ("out_dim 0 matrix", ["tpe", "--apply", "{data}", "--matrix", "{map}"]),
+            ("k 0 checkpoint", ["transform", "--data", "{data}", "--ckpt", "{map}"]),
+        )
+    ])
+    def test_refused_as_truncated(self, tmp_path, capsys, case, argv):
+        corpus = tiny_corpus()[0]
+        data, fitted, out = tmp_path / "c.fds", tmp_path / "map", tmp_path / "out.fds"
+        dataio.write_dataset(corpus, data)
+        fitted.write_bytes(_zero_size_files(corpus.dim)[case])
+        code = cli.main([a.format(data=data, map=fitted) for a in argv] + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.count("\n") == 1 and "kind=truncated" in err
+        assert not out.exists()
 
 
 class TestSynth:

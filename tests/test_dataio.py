@@ -168,6 +168,38 @@ class TestSplit:
         with pytest.raises(ValidationError):
             dataio.split_by_identity(small_dataset(), 1.5, 0)
 
+    def test_matches_the_loop_definition_on_uneven_identities(self):
+        # The sorted identities, shuffled by the seed, move to the heldout
+        # side one at a time until it holds the fraction of the records.
+        rng = np.random.default_rng(17)
+        refused = 0
+        for _ in range(200):
+            sizes = rng.integers(1, 30, size=rng.integers(2, 12))
+            ids = np.repeat(rng.choice(10**12, size=len(sizes), replace=False), sizes)
+            rng.shuffle(ids)
+            n = len(ids)
+            ds = dataio.DescriptorDataset(ids, np.zeros(n, np.uint8), np.zeros((n, 1)))
+            # a whole record count half the time, so a prefix can meet it exactly
+            fraction = rng.integers(1, n) / n if rng.random() < 0.5 else rng.uniform(0.01, 0.95)
+            seed = int(rng.integers(1000))
+            unique = np.unique(ids)
+            heldout, total = [], 0
+            for pos in np.random.Generator(np.random.Philox(seed)).permutation(len(unique)):
+                if total >= fraction * n:
+                    break
+                heldout.append(unique[pos])
+                total += np.count_nonzero(ids == unique[pos])
+            if len(heldout) == len(unique):
+                refused += 1
+                with pytest.raises(ValidationError, match="no identities"):
+                    dataio.split_by_identity(ds, fraction, seed)
+                continue
+            main, held = dataio.split_by_identity(ds, fraction, seed)
+            in_heldout = np.isin(ids, heldout)
+            assert np.array_equal(held, np.flatnonzero(in_heldout))
+            assert np.array_equal(main, np.flatnonzero(~in_heldout))
+        assert 0 < refused < 100
+
 
 @dataclass
 class KvFields:

@@ -113,6 +113,23 @@ class TestEigh:
         assert np.all(d.eigenvectors[np.arange(3), peak] > 0)
 
 
+class TestAverageRanks:
+    def test_matches_the_counting_definition(self):
+        # A number's rank is #less + (#equal + 1) / 2 among the numbers
+        # (-0.0 equals 0.0); NaNs take the ranks after them, in input order.
+        rng = np.random.default_rng(13)
+        pools = ([0.0, -0.0, 1.0, -2.5], [0.0, np.nan, -0.0, 3.0, np.inf, -np.inf])
+        for n in (1, 2, 17, 40, 300):
+            for pool in pools + (rng.normal(size=n),):
+                v = rng.choice(pool, size=n)
+                nan = np.isnan(v)
+                numbers = v[~nan]
+                expected = np.array([np.sum(numbers < x) + (np.sum(numbers == x) + 1) / 2
+                                     for x in v])
+                expected[nan] = len(numbers) + 1 + np.arange(np.count_nonzero(nan))
+                assert np.array_equal(linalg.average_ranks(v), expected), v
+
+
 class TestSpearman:
     def test_hand_computed_tie_case(self):
         assert linalg.spearman([1, 2, 3], [0, 0, 1]) == pytest.approx(1.5 / np.sqrt(3))

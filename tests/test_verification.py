@@ -133,7 +133,8 @@ class TestTprAtFpr:
                 np.repeat([1, 0], n_gen + n_imp).astype(np.uint8),
             )
             scores = np.tile(np.r_[gen, imp], 2)
-            targets = rng.uniform(0.01, 0.9, size=3)
+            # and one target exactly on a k / m step, where the rule's <= decides
+            targets = np.r_[rng.uniform(0.01, 0.9, size=3), (trial % (n_imp - 1) + 1) / n_imp]
             per_group, _ = verification.tpr_at_fpr(scores, protocol, targets)
             for t_idx, target in enumerate(targets):
                 want_thr, want_tpr = brute_force_operating_point(gen, imp, target)
