@@ -10,8 +10,9 @@ identical manifests produce byte-identical reports.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
 violated invariant, numeric failure or a request for more memory than
-the machine can give. Failures print a single
-machine-parseable line to stderr.
+the machine can give. argparse reports usage errors, a missing mode or an
+option without its partner (``--apply`` without ``--subspace``) among
+them; every other failure prints a single machine-parseable line to stderr.
 
 Every subcommand runs numpy's BLAS on one thread whatever
 OPENBLAS_NUM_THREADS says, so its outputs are the same bytes at any BLAS
@@ -44,11 +45,14 @@ from .nets import load_checkpoint, save_checkpoint
 TPE_LOSS_NOTE = "tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), dot-product scores"
 
 
-def _add_common(sub):
+def _add_common(sub, *partners):
+    """--seed and --manifest; each of ``partners`` is ``(option, partner)``:
+    the option is a usage error without its partner."""
     sub.add_argument("--seed", type=_seed, default=None,
                      help="override the seed used by every stochastic component")
     sub.add_argument("--manifest", default=None,
                      help="manifest path (default: <primary output>.manifest.json)")
+    sub.set_defaults(partners=partners, usage_error=sub.error)
 
 
 def _finite_float(text):
@@ -128,9 +132,7 @@ def _cmd_transform(args):
 
 
 def _cmd_corrpca(args):
-    if (args.fit is None) == (args.apply is None):
-        raise ValidationError("corrpca needs exactly one of --fit or --apply")
-    if args.fit:
+    if args.fit is not None:
         subspace = corrpca.fit(read_dataset(args.fit), args.delta)
         corrpca.save_subspace(subspace, args.out)
         outputs = [args.out]
@@ -144,8 +146,6 @@ def _cmd_corrpca(args):
                              ("index", "eigenvalue", "abs_spearman"), rows)
             outputs.append(args.spectrum)
         return [("mode", "fit"), ("delta", args.delta)], [args.fit], outputs, args.seed
-    if not args.subspace:
-        raise ValidationError("--apply needs --subspace")
     subspace = corrpca.load_subspace(args.subspace)
     write_dataset(corrpca.project(subspace, read_dataset(args.apply)), args.out)
     return [("mode", "apply")], [args.apply, args.subspace], [args.out], args.seed
@@ -153,30 +153,27 @@ def _cmd_corrpca(args):
 
 def _cmd_probe(args):
     seed = args.seed if args.seed is not None else 0
-    if args.data:
-        if args.train or args.test:
-            raise ValidationError("--data replaces --train/--test, not both")
+    options = [("epochs", args.epochs), ("rate", args.rate), ("l2", args.l2),
+               ("standardized", "per-dimension z-score from the training split")]
+    if args.data is not None:
         dataset = read_dataset(args.data)
         fit_idx, eval_idx = split_by_identity(dataset, args.test_fraction, seed)
         train_set = dataset.subset(fit_idx)
         test_set = dataset.subset(eval_idx)
         del dataset  # the splits are all the probe reads
         inputs = [args.data]
+        options.append(("test_fraction", args.test_fraction))
     else:
-        if not (args.train and args.test):
-            raise ValidationError("probe needs --train and --test (or --data)")
         train_set = read_dataset(args.train)
         test_set = read_dataset(args.test)
         inputs = [args.train, args.test]
     model = probe.probe_train(train_set, args.epochs, args.rate, args.l2)
-    report = probe.probe_eval(model, test_set, train_size=train_set.n)
-    options = [("epochs", args.epochs), ("rate", args.rate), ("l2", args.l2),
-               ("standardized", "per-dimension z-score from the training split")]
+    report = probe.probe_eval(model, test_set)
     rows = [
         ("overall_accuracy_pct", format_float(report.overall_accuracy)),
         ("females_misclassified_pct", format_float(report.females_misclassified)),
         ("males_misclassified_pct", format_float(report.males_misclassified)),
-        ("train_size", report.train_size),
+        ("train_size", train_set.n),
         ("test_size", report.test_size),
     ]
     write_csv_report(args.report, _comment_block(args, seed, options),
@@ -189,7 +186,7 @@ def _cmd_eval(args):
     fprs = _parse_list(args.fprs, "--fprs")
     verification.check_fpr_targets(fprs)
     dataset = read_dataset(args.data)
-    if args.pairs:
+    if args.pairs is not None:
         protocol = verification.read_pairs_csv(args.pairs, dataset)
         pair_source = [("pairs", args.pairs)]
         inputs = [args.data, args.pairs]
@@ -206,17 +203,13 @@ def _cmd_eval(args):
 
 def _cmd_tpe(args):
     seed = args.seed if args.seed is not None else 0
-    if (args.train is None) == (args.apply is None):
-        raise ValidationError("tpe needs exactly one of --train or --apply")
-    if args.train:
+    if args.train is not None:
         w = tpe.tpe_train(read_dataset(args.train), args.repeats, args.iterations, args.rate,
                           args.batch, seed)
         tpe.save_tpe(w, args.out)
         options = [("repeats", args.repeats), ("iterations", args.iterations),
                    ("rate", args.rate), ("batch", args.batch), ("note", TPE_LOSS_NOTE)]
         return options, [args.train], [args.out], seed
-    if not args.matrix:
-        raise ValidationError("--apply needs --matrix")
     w = tpe.load_tpe(args.matrix)
     write_dataset(tpe.tpe_apply(w, read_dataset(args.apply)), args.out)
     return ([("mode", "apply"), ("note", TPE_LOSS_NOTE)], [args.apply, args.matrix],
@@ -236,9 +229,6 @@ def _compare_variants(dataset, delta, config):
 
 def _cmd_sweep(args):
     seed = args.seed if args.seed is not None else 0
-    modes = [m for m in (args.lambdas, args.ks, args.compare) if m]
-    if len(modes) != 1:
-        raise ValidationError("sweep needs exactly one of --lambdas, --ks, --compare")
     base = trainer.TrainConfig.from_file(args.config) if args.config else trainer.TrainConfig()
     if args.seed is not None:
         base.seed = args.seed
@@ -250,7 +240,7 @@ def _cmd_sweep(args):
         variants = _compare_variants(dataset, args.delta, base)
         options += [("mode", "compare"), ("delta", args.delta)]
     else:
-        if args.lambdas:
+        if args.lambdas is not None:
             values = _parse_list(args.lambdas, "--lambdas")
             configs = [("lam=%s" % v, dataclasses.replace(base, lam=v)) for v in values]
             options.append(("lambdas", args.lambdas))
@@ -264,13 +254,15 @@ def _cmd_sweep(args):
     table = verification.ablation_sweep(
         dataset, variants, args.fpr, args.impostor_ratio, seed, args.probe_fraction,
     )
+    options += base.to_kv()
     write_csv_report(
         args.report,
-        _comment_block(args, seed, options + base.to_kv()),
+        _comment_block(args, seed, options),
         ("param", "tpr_m", "tpr_f", "bias", "probe_accuracy_pct"),
         [(label, *map(format_float, values)) for label, *values in table],
     )
-    return options, [args.data], [args.report], seed
+    return (options, [args.data] + ([args.config] if args.config else []), [args.report],
+            seed)
 
 
 def build_parser():
@@ -309,27 +301,29 @@ def build_parser():
     p.set_defaults(func=_cmd_transform)
 
     p = subs.add_parser("corrpca", help="fit or apply the eigenspace-removal baseline")
-    p.add_argument("--fit", help="dataset to fit the subspace on")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--fit", help="dataset to fit the subspace on")
+    mode.add_argument("--apply", help="dataset to project with --subspace")
     p.add_argument("--delta", type=_finite_float, default=corrpca.DEFAULT_DELTA,
                    help="remove eigenvectors with |spearman| >= delta (default %(default)s)")
-    p.add_argument("--apply", help="dataset to project with --subspace")
     p.add_argument("--subspace", help="subspace file produced by --fit")
     p.add_argument("--out", required=True, help="subspace file (fit) or dataset (apply)")
     p.add_argument("--spectrum", help="also write the per-eigenvector correlation CSV (fit mode)")
-    _add_common(p)
+    _add_common(p, ("apply", "subspace"))
     p.set_defaults(func=_cmd_corrpca)
 
     p = subs.add_parser("probe", help="attribute leakage probe (logistic regression)")
-    p.add_argument("--train", help="training dataset (identity-disjoint from --test)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--data", help="single dataset; split identity-disjoint internally")
+    mode.add_argument("--train", help="training dataset (identity-disjoint from --test)")
     p.add_argument("--test", help="evaluation dataset")
-    p.add_argument("--data", help="single dataset; split identity-disjoint internally")
     p.add_argument("--test-fraction", type=_finite_float, default=0.3,
                    help="heldout fraction for --data mode (default %(default)s)")
     p.add_argument("--epochs", type=int, default=probe.DEFAULT_EPOCHS)
     p.add_argument("--rate", type=_finite_float, default=probe.DEFAULT_RATE)
     p.add_argument("--l2", type=_finite_float, default=probe.DEFAULT_L2)
     p.add_argument("--report", required=True)
-    _add_common(p)
+    _add_common(p, ("train", "test"), ("test", "train"))
     p.set_defaults(func=_cmd_probe)
 
     p = subs.add_parser("eval", help="group-wise verification TPR@FPR and bias")
@@ -345,24 +339,26 @@ def build_parser():
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("tpe", help="train or apply the triplet-probability embedding")
-    p.add_argument("--train", help="dataset to train the matrix on")
-    p.add_argument("--apply", help="dataset to project with --matrix")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--train", help="dataset to train the matrix on")
+    mode.add_argument("--apply", help="dataset to project with --matrix")
     p.add_argument("--matrix", help="matrix file for --apply")
     p.add_argument("--out", required=True, help="matrix file (train) or dataset (apply)")
     p.add_argument("--repeats", type=int, default=tpe.DEFAULT_REPEATS)
     p.add_argument("--iterations", type=int, default=tpe.DEFAULT_ITERATIONS)
     p.add_argument("--rate", type=_finite_float, default=tpe.DEFAULT_RATE)
     p.add_argument("--batch", type=int, default=tpe.DEFAULT_BATCH)
-    _add_common(p)
+    _add_common(p, ("apply", "matrix"))
     p.set_defaults(func=_cmd_tpe)
 
     p = subs.add_parser("sweep", help="ablation grids over lam/k, or a three-way method comparison")
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="base TrainConfig key=value file")
-    p.add_argument("--lambdas", help="comma-separated debias weights to sweep")
-    p.add_argument("--ks", help="comma-separated ensemble sizes to sweep")
-    p.add_argument("--compare", action="store_true",
-                   help="compare original vs corrpca vs agenda instead of a grid")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--lambdas", help="comma-separated debias weights to sweep")
+    mode.add_argument("--ks", help="comma-separated ensemble sizes to sweep")
+    mode.add_argument("--compare", action="store_true",
+                      help="compare original vs corrpca vs agenda instead of a grid")
     p.add_argument("--delta", type=_finite_float, default=corrpca.DEFAULT_DELTA,
                    help="corrpca threshold in compare mode (default %(default)s)")
     p.add_argument("--fpr", type=_finite_float, default=1e-3,
@@ -381,6 +377,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for option, partner in args.partners:
+            if getattr(args, option) is not None and getattr(args, partner) is None:
+                args.usage_error("--%s needs --%s" % (option, partner))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.monotonic()
@@ -388,19 +387,14 @@ def main(argv=None):
         with linalg.blas_threads(1) as blas_threads:
             ran = args.func(args)
         _write_manifest(args, started, blas_threads, *ran)
-    except DataFormatError as exc:
-        print("agenda: error exit=3 kind=%s message=%s"
-              % (exc.code, str(exc).replace("\n", " ")), file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print("agenda: error exit=3 kind=io message=%s"
-              % str(exc).replace("\n", " "), file=sys.stderr)
-        return 3
-    except (AgendaError, MemoryError) as exc:
-        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        print("agenda: error exit=4 kind=%s message=%s"
-              % (kind, str(exc).replace("\n", " ")), file=sys.stderr)
-        return 4
+    except (AgendaError, OSError, MemoryError) as exc:
+        code, kind = ((3, exc.code) if isinstance(exc, DataFormatError) else
+                      (3, "io") if isinstance(exc, OSError) else
+                      (4, "MemoryError") if isinstance(exc, MemoryError) else
+                      (4, type(exc).__name__))
+        print("agenda: error exit=%d kind=%s message=%s"
+              % (code, kind, str(exc).replace("\n", " ")), file=sys.stderr)
+        return code
     return 0
 
 

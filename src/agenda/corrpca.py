@@ -11,14 +11,13 @@ thread count.
 """
 
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import read_binary, refuse_zero_sizes, write_binary
 from .errors import DataFormatError, ValidationError
-from .linalg import DegenerateInputWarning, blas_threads, covariance, eigh, spearman
+from .linalg import blas_threads, covariance, eigh, spearman
 
 DEFAULT_DELTA = 0.1
 
@@ -63,12 +62,8 @@ def fit(dataset, delta=DEFAULT_DELTA):
     labels = dataset.attributes.astype(np.float64)
     projections = centered @ decomp.eigenvectors.T  # column j = component on eigenvector j
     corrs = np.empty(dataset.dim)
-    with warnings.catch_warnings():
-        # Zero-variance directions rank as constant; the 0.0 convention is
-        # exactly what we want here (they carry no attribute signal).
-        warnings.simplefilter("ignore", DegenerateInputWarning)
-        for j in range(dataset.dim):
-            corrs[j] = spearman(projections[:, j], labels)
+    for j in range(dataset.dim):  # a zero-variance direction correlates 0.0
+        corrs[j] = spearman(projections[:, j], labels)
     retained = np.abs(corrs) < delta
     if not retained.any():
         raise ValidationError("delta=%g removes every eigenvector" % delta)

@@ -15,7 +15,6 @@ import contextlib
 import ctypes
 import functools
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +58,6 @@ def blas_threads(count):
         yield count
     finally:
         set_threads(previous)
-
-
-class DegenerateInputWarning(UserWarning):
-    """A correlation was requested on an input with zero rank variance."""
 
 
 def covariance(x):
@@ -151,8 +146,8 @@ def spearman(v, labels):
     """Spearman rank correlation with average ranks for ties.
 
     Constant input on either side has no rank variance; by convention that
-    returns 0.0 and emits :class:`DegenerateInputWarning` instead of NaN,
-    so threshold comparisons downstream stay well defined.
+    returns 0.0, not NaN, so threshold comparisons downstream stay well
+    defined (a constant direction carries no attribute signal).
     """
     v = np.asarray(v, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -171,9 +166,6 @@ def spearman(v, labels):
     ss_v = float(rv @ rv)
     ss_l = float(rl @ rl)
     if ss_v == 0.0 or ss_l == 0.0:
-        warnings.warn(
-            "constant input to spearman; returning 0.0", DegenerateInputWarning
-        )
         return 0.0
     rho = float(rv @ rl) / np.sqrt(ss_v * ss_l)
     return float(np.clip(rho, -1.0, 1.0))

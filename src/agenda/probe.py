@@ -36,7 +36,6 @@ class ProbeReport:
     overall_accuracy: float  # percent
     females_misclassified: float  # percent of attribute-0 records predicted 1
     males_misclassified: float  # percent of attribute-1 records predicted 0
-    train_size: int
     test_size: int
 
 
@@ -84,7 +83,7 @@ def probe_predict(model, vectors):
     return (vectors @ model.weight + model.bias > 0.0).astype(np.uint8)
 
 
-def probe_eval(model, dataset, train_size=0):
+def probe_eval(model, dataset):
     """Accuracy at threshold 0.5 plus per-group misclassification rates."""
     if dataset.n == 0:
         raise ValidationError("probe evaluation needs a non-empty test set")
@@ -102,6 +101,5 @@ def probe_eval(model, dataset, train_size=0):
         overall_accuracy=100.0 * float(correct.mean()),
         females_misclassified=_pct_wrong(females),
         males_misclassified=_pct_wrong(males),
-        train_size=int(train_size),
         test_size=int(dataset.n),
     )

@@ -121,15 +121,20 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
 
 
 def read_pairs_csv(path, dataset):
-    """Load ``index_a,index_b,genuine`` rows; groups come from the dataset."""
+    """Load ``index_a,index_b,genuine`` rows; groups come from the dataset.
+    A file with no row (``truncated``) or with rows of other than 3 cells
+    (``bad_value``) is a format error, as a cell that is not an integer is."""
     try:
+        with open(path) as lines:  # np.loadtxt warns on a file without rows
+            next(lines, None)  # the header
+            if not any(line.split("#")[0].strip() for line in lines):
+                raise DataFormatError("truncated", "pair protocol file %s is empty" % path)
         raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
     except ValueError as exc:
         raise DataFormatError("bad_value", "pair protocol %s: %s" % (path, exc))
-    if raw.size == 0:
-        raise ValidationError("pair protocol file %s is empty" % path)
     if raw.shape[1] != 3:
-        raise ValidationError("pair protocol needs exactly 3 columns, got %d" % raw.shape[1])
+        raise DataFormatError("bad_value", "pair protocol %s needs exactly 3 columns, got %d"
+                              % (path, raw.shape[1]))
     index_a, index_b, genuine = raw[:, 0], raw[:, 1], raw[:, 2]
     if index_a.min() < 0 or index_a.max() >= dataset.n or index_b.min() < 0 or index_b.max() >= dataset.n:
         raise ValidationError("pair index out of range for dataset of %d records" % dataset.n)
@@ -292,7 +297,7 @@ def ablation_sweep(dataset, variants, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO
     for label, variant in variants:
         report = evaluate(variant, protocol, (fpr,))
         model = probe_train(variant.subset(fit_idx))
-        probe_report = probe_eval(model, variant.subset(eval_idx), train_size=len(fit_idx))
+        probe_report = probe_eval(model, variant.subset(eval_idx))
         del variant
         rows.append(
             (

@@ -138,18 +138,20 @@ def default_pipeline(tmp_path_factory):
 
 
 def read_probe_accuracy(path):
-    for line in open(path):
-        if line.startswith("overall_accuracy_pct"):
-            return float(line.strip().split(",")[1])
+    with open(path) as lines:
+        for line in lines:
+            if line.startswith("overall_accuracy_pct"):
+                return float(line.strip().split(",")[1])
     raise AssertionError("no accuracy row in %s" % path)
 
 
 def read_eval_rows(path):
     """[(fpr, tpr_m, tpr_f, bias)] from an eval report CSV."""
     rows = []
-    for line in open(path):
-        if line.startswith("#") or line.startswith("fpr,"):
-            continue
-        fpr, tm, tf, b = line.strip().split(",")
-        rows.append((float(fpr), float(tm), float(tf), float(b)))
+    with open(path) as lines:
+        for line in lines:
+            if line.startswith("#") or line.startswith("fpr,"):
+                continue
+            fpr, tm, tf, b = line.strip().split(",")
+            rows.append((float(fpr), float(tm), float(tf), float(b)))
     return rows

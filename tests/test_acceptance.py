@@ -481,12 +481,13 @@ class TestCriterion8LambdaTrends:
 class TestCriterion9ConfusionFloor:
     def test_l_deb_floor_and_quartile_trend(self, default_pipeline):
         ldebs = []
-        for line in open(default_pipeline.log):
-            if line.startswith("#") or line.startswith("episode,"):
-                continue
-            parts = line.rstrip("\n").split(",")
-            if parts[1] == "3" and parts[4]:
-                ldebs.append(float(parts[4]))
+        with open(default_pipeline.log) as log:
+            for line in log:
+                if line.startswith("#") or line.startswith("episode,"):
+                    continue
+                parts = line.rstrip("\n").split(",")
+                if parts[1] == "3" and parts[4]:
+                    ldebs.append(float(parts[4]))
         assert len(ldebs) > 0
         floor = np.log(2.0) - 1e-9
         assert min(ldebs) >= floor
@@ -518,7 +519,8 @@ class TestCriterion10Determinism:
             ("eval agenda", default_pipeline.eval_agenda, repeat.eval_agenda),
         ]
         for name, a, b in pairs:
-            assert open(a, "rb").read() == open(b, "rb").read(), name
+            with open(a, "rb") as first, open(b, "rb") as second:
+                assert first.read() == second.read(), name
         _report("criterion 10", "%d artifacts byte-identical across repeats" % len(pairs))
 
 

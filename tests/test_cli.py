@@ -79,6 +79,43 @@ class TestExitCodes:
         assert "kind=too_large" in err and "Traceback" not in err
 
 
+# A missing or second mode, and an option without its partner. None of the
+# paths exists, so a subcommand that got as far as reading would exit 3.
+USAGE_CASES = [
+    ("corrpca", "--out", "{out}"),
+    ("corrpca", "--fit", "{a}", "--apply", "{b}", "--out", "{out}"),
+    ("corrpca", "--apply", "{a}", "--out", "{out}"),
+    ("tpe", "--out", "{out}"),
+    ("tpe", "--train", "{a}", "--apply", "{b}", "--out", "{out}"),
+    ("tpe", "--apply", "{a}", "--out", "{out}"),
+    ("sweep", "--data", "{a}", "--report", "{out}"),
+    ("sweep", "--data", "{a}", "--ks", "1", "--compare", "--report", "{out}"),
+    ("sweep", "--data", "{a}", "--lambdas", "1", "--ks", "1", "--report", "{out}"),
+    ("probe", "--report", "{out}"),
+    ("probe", "--data", "{a}", "--train", "{b}", "--report", "{out}"),
+    ("probe", "--data", "{a}", "--test", "{b}", "--report", "{out}"),
+    ("probe", "--train", "{a}", "--report", "{out}"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+    def test_exit_2_from_argparse_before_any_file(self, tmp_path, monkeypatch, capsys, argv):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        for module, name in ((cli, "read_dataset"), (cli.corrpca, "load_subspace"),
+                             (tpe, "load_tpe")):
+            monkeypatch.setattr(module, name, no_read)
+        paths = dict(a=tmp_path / "a.fds", b=tmp_path / "b.fds", out=tmp_path / "out")
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: agenda %s " % argv[0])
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+        assert lines[-1].startswith("agenda %s: error: " % argv[0])
+        assert list(tmp_path.iterdir()) == []
+
+
 # Each float option, under every subcommand that has it, and the list options
 # that are parsed after the dataset is read. Arguments other than the one
 # under test are valid, so the value under test is what must fail.
@@ -227,6 +264,24 @@ class TestNoTraceback:
         assert code == 3
         assert "kind=bad_value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, kind", [
+        ("", "truncated"),
+        ("index_a,index_b,genuine\n", "truncated"),
+        ("index_a,index_b,genuine\n0,1\n2,3\n", "bad_value"),
+    ], ids=["empty file", "header only", "two columns"])
+    def test_pairs_file_without_three_cell_rows_is_3(self, tmp_path, capsys, text, kind):
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(text)
+        report = tmp_path / "r.csv"
+        code = cli.main(["eval", "--data", str(data), "--pairs", str(pairs),
+                         "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("agenda: error exit=3 kind=%s " % kind)
+        assert not report.exists()
+
     @pytest.mark.parametrize("row", ["0,{n},1", "{male},{female},0"],
                              ids=["index out of range", "cross-group pair"])
     def test_pairs_the_dataset_cannot_hold_is_4(self, tmp_path, capsys, row):
@@ -365,7 +420,8 @@ class TestManifests:
             (["probe", "--data", p["c.fds"], "--report", p["probe.csv"]],
              p["probe.csv"] + ".manifest.json",
              dict(epochs=500, rate=0.1, l2=1e-4,
-                  standardized="per-dimension z-score from the training split"),
+                  standardized="per-dimension z-score from the training split",
+                  test_fraction=0.3),
              [p["c.fds"]], [p["probe.csv"]], 0),
             (["eval", "--data", p["c.fds"], "--fprs", "0.01,0.1", "--report", p["eval.csv"],
               "--seed", "1"],
@@ -382,16 +438,19 @@ class TestManifests:
              [p["c.fds"], p["w.tpe"]], [p["e.fds"]], 0),
             (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--lambdas", "0,1",
               "--fpr", "0.05", "--report", p["lam.csv"]],
-             p["lam.csv"] + ".manifest.json", dict(sweep_options, lambdas="0,1"),
-             [p["c.fds"]], [p["lam.csv"]], 0),
+             p["lam.csv"] + ".manifest.json",
+             dict(sweep_options, lambdas="0,1", **train_options),
+             [p["c.fds"], p["t.cfg"]], [p["lam.csv"]], 0),
             (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--ks", "1,2",
               "--fpr", "0.05", "--report", p["ks.csv"], "--seed", "2"],
-             p["ks.csv"] + ".manifest.json", dict(sweep_options, ks="1,2"),
-             [p["c.fds"]], [p["ks.csv"]], 2),
+             p["ks.csv"] + ".manifest.json",
+             dict(sweep_options, ks="1,2", **dict(train_options, seed=2)),
+             [p["c.fds"], p["t.cfg"]], [p["ks.csv"]], 2),
             (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--compare",
               "--delta", "0.5", "--fpr", "0.05", "--report", p["cmp.csv"]],
-             p["cmp.csv"] + ".manifest.json", dict(sweep_options, mode="compare", delta=0.5),
-             [p["c.fds"]], [p["cmp.csv"]], 0),
+             p["cmp.csv"] + ".manifest.json",
+             dict(sweep_options, mode="compare", delta=0.5, **train_options),
+             [p["c.fds"], p["t.cfg"]], [p["cmp.csv"]], 0),
         ]
         keys = {"tool_version", "subcommand", "options", "inputs", "outputs", "seed",
                 "blas_threads", "wall_time_s"}
@@ -399,7 +458,8 @@ class TestManifests:
         blas_threads = 1 if linalg.openblas_handle() else None
         for argv, path, options, inputs, outputs, seed in runs:
             assert cli.main(argv) == 0, argv
-            manifest = json.loads(open(path, encoding="utf-8").read())
+            with open(path, encoding="utf-8") as handle:
+                manifest = json.load(handle)
             extra = {"workers"} if argv[0] == "train" else set()
             assert set(manifest) == keys | extra, argv
             wall_time_s = manifest.pop("wall_time_s")
@@ -409,6 +469,28 @@ class TestManifests:
                 assert manifest.pop("workers") == workers
             assert manifest == dict(tool_version="0.1.0", subcommand=argv[0], options=options,
                                     inputs=inputs, outputs=outputs, seed=seed), argv
+
+    def test_probe_data_records_test_fraction(self, tmp_path):
+        data, report = tmp_path / "c.fds", tmp_path / "r.csv"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        assert cli.main(["probe", "--data", str(data), "--test-fraction", "0.5",
+                         "--report", str(report)]) == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["options"]["test_fraction"] == 0.5
+        assert "# test_fraction=0.5" in report.read_text().splitlines()
+
+    def test_sweep_records_base_config_and_its_file(self, tmp_path):
+        data, report = tmp_path / "c.fds", tmp_path / "r.csv"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        cfg = write_tiny_train_cfg(tmp_path / "t.cfg", n_ep=1, lam=2.5)
+        assert cli.main(["sweep", "--data", str(data), "--config", str(cfg), "--lambdas", "0",
+                         "--fpr", "0.05", "--report", str(report)]) == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["inputs"] == [str(data), str(cfg)]
+        base = trainer.TrainConfig.from_file(str(cfg)).to_kv()
+        assert {key: manifest["options"][key] for key, _ in base} == dict(base)
+        header = report.read_text().splitlines()
+        assert all("# %s=%s" % kv in header for kv in base)
 
 
 class TestPipeline:
@@ -520,7 +602,7 @@ class TestCorrPcaCli:
         code, _, _ = run_cli(
             "corrpca", "--fit", "a", "--apply", "b", "--out", "c"
         )
-        assert code == 4
+        assert code == 2
 
 
 class TestTpeCli:

@@ -86,7 +86,7 @@ class TestProbeEval:
         ds, _ = synthgen.generate(spec)
         fit_idx, eval_idx = dataio.split_by_identity(ds, 0.3, 9)
         model = probe.probe_train(ds.subset(fit_idx))
-        report = probe.probe_eval(model, ds.subset(eval_idx), train_size=len(fit_idx))
+        report = probe.probe_eval(model, ds.subset(eval_idx))
         test = ds.subset(eval_idx)
         n_f = int((test.attributes == 0).sum())
         n_m = int((test.attributes == 1).sum())
@@ -94,7 +94,7 @@ class TestProbeEval:
             report.females_misclassified * n_f + report.males_misclassified * n_m
         ) / (n_f + n_m)
         assert report.overall_accuracy == pytest.approx(100.0 - weighted_err, abs=0.01)
-        assert report.train_size == len(fit_idx) and report.test_size == len(eval_idx)
+        assert report.test_size == len(eval_idx)
 
     def test_empty_test_rejected(self):
         ds = separable_2d(10)
