@@ -10,9 +10,13 @@ identical manifests produce byte-identical reports.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
 violated invariant, numeric failure or a request for more memory than
-the machine can give. argparse reports usage errors, a missing mode or an
-option without its partner (``--apply`` without ``--subspace``) among
-them; every other failure prints a single machine-parseable line to stderr.
+the machine can give. argparse reports usage errors, a missing mode, an
+option without its partner (``--apply`` without ``--subspace``) and an
+option of the other mode (``--spectrum`` without ``--fit``) among them;
+every other failure prints a single machine-parseable line to stderr.
+
+``sweep`` fits each variant on the identities outside its held-out
+``--probe-fraction`` and reads the probe and TPR on the held-out ones.
 
 Every subcommand runs numpy's BLAS on one thread whatever
 OPENBLAS_NUM_THREADS says, so its outputs are the same bytes at any BLAS
@@ -26,6 +30,7 @@ manifest records the worker count.
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -43,6 +48,7 @@ from .errors import AgendaError, DataFormatError, ValidationError
 from .nets import load_checkpoint, save_checkpoint
 
 TPE_LOSS_NOTE = "tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), dot-product scores"
+SWEEP_NOTE = "protocol=fit on one identity side, probe and TPR read on the held-out probe_fraction"
 
 
 def _add_common(sub, *partners):
@@ -112,16 +118,22 @@ def _cmd_synth(args):
             [args.out, meta_path], spec.seed)
 
 
-def _cmd_train(args):
+def _train_config(args):
+    """The TrainConfig of --config (defaults without it) under --seed, and its inputs."""
     config = trainer.TrainConfig.from_file(args.config) if args.config else trainer.TrainConfig()
     if args.seed is not None:
         config.seed = args.seed
+    return config, [args.config] if args.config else []
+
+
+def _cmd_train(args):
+    config, config_input = _train_config(args)
     dataset = read_dataset(args.data)
     gen, cls, ensemble, log = trainer.train(dataset, config)
     save_checkpoint(args.out, gen, cls, ensemble)
     log_path = args.log or (args.out + ".log.csv")
     log.write_csv(log_path, _comment_block(args, config.seed, config.to_kv()))
-    return (config.to_kv(), [args.data], [args.out, log_path], config.seed,
+    return (config.to_kv(), [args.data] + config_input, [args.out, log_path], config.seed,
             dict(workers=log.workers))
 
 
@@ -157,12 +169,13 @@ def _cmd_probe(args):
                ("standardized", "per-dimension z-score from the training split")]
     if args.data is not None:
         dataset = read_dataset(args.data)
-        fit_idx, eval_idx = split_by_identity(dataset, args.test_fraction, seed)
+        test_fraction = 0.3 if args.test_fraction is None else args.test_fraction
+        fit_idx, eval_idx = split_by_identity(dataset, test_fraction, seed)
         train_set = dataset.subset(fit_idx)
         test_set = dataset.subset(eval_idx)
         del dataset  # the splits are all the probe reads
         inputs = [args.data]
-        options.append(("test_fraction", args.test_fraction))
+        options.append(("test_fraction", test_fraction))
     else:
         train_set = read_dataset(args.train)
         test_set = read_dataset(args.test)
@@ -216,28 +229,22 @@ def _cmd_tpe(args):
             [args.out], seed)
 
 
-def _trained(dataset, config):
-    gen, _, _, _ = trainer.train(dataset, config)
-    return trainer.transform(gen, dataset)
-
-
-def _compare_variants(dataset, delta, config):
-    yield "original", dataset
-    yield "corrpca", corrpca.project(corrpca.fit(dataset, delta), dataset)
-    yield "agenda", _trained(dataset, config)
+def _agenda_fit(config):
+    """A sweep ``fit``: train on the fitting side, re-embed through the generator."""
+    return lambda fit_set: functools.partial(trainer.transform, trainer.train(fit_set, config)[0])
 
 
 def _cmd_sweep(args):
     seed = args.seed if args.seed is not None else 0
-    base = trainer.TrainConfig.from_file(args.config) if args.config else trainer.TrainConfig()
-    if args.seed is not None:
-        base.seed = args.seed
+    base, config_input = _train_config(args)
     dataset = read_dataset(args.data)
     options = [("fpr", args.fpr), ("impostor_ratio", args.impostor_ratio),
-               ("probe_fraction", args.probe_fraction)]
-    # Variants are generated on demand, so one transformed dataset is alive at a time.
+               ("probe_fraction", args.probe_fraction), ("note", SWEEP_NOTE)]
     if args.compare:
-        variants = _compare_variants(dataset, args.delta, base)
+        fits = [("original", lambda fit_set: lambda data: data),
+                ("corrpca", lambda fit_set: functools.partial(
+                    corrpca.project, corrpca.fit(fit_set, args.delta))),
+                ("agenda", _agenda_fit(base))]
         options += [("mode", "compare"), ("delta", args.delta)]
     else:
         if args.lambdas is not None:
@@ -250,19 +257,14 @@ def _cmd_sweep(args):
             options.append(("ks", args.ks))
         for _, config in configs:  # fail before the first grid point trains
             config.validate()
-        variants = ((label, _trained(dataset, config)) for label, config in configs)
-    table = verification.ablation_sweep(
-        dataset, variants, args.fpr, args.impostor_ratio, seed, args.probe_fraction,
-    )
+        fits = [(label, _agenda_fit(config)) for label, config in configs]
+    table = verification.ablation_sweep(dataset, fits, args.fpr, args.impostor_ratio, seed,
+                                        args.probe_fraction)
     options += base.to_kv()
-    write_csv_report(
-        args.report,
-        _comment_block(args, seed, options),
-        ("param", "tpr_m", "tpr_f", "bias", "probe_accuracy_pct"),
-        [(label, *map(format_float, values)) for label, *values in table],
-    )
-    return (options, [args.data] + ([args.config] if args.config else []), [args.report],
-            seed)
+    write_csv_report(args.report, _comment_block(args, seed, options),
+                     ("param", "tpr_m", "tpr_f", "bias", "probe_accuracy_pct"),
+                     [(label, *map(format_float, values)) for label, *values in table])
+    return options, [args.data] + config_input, [args.report], seed
 
 
 def build_parser():
@@ -309,7 +311,7 @@ def build_parser():
     p.add_argument("--subspace", help="subspace file produced by --fit")
     p.add_argument("--out", required=True, help="subspace file (fit) or dataset (apply)")
     p.add_argument("--spectrum", help="also write the per-eigenvector correlation CSV (fit mode)")
-    _add_common(p, ("apply", "subspace"))
+    _add_common(p, ("apply", "subspace"), ("spectrum", "fit"))
     p.set_defaults(func=_cmd_corrpca)
 
     p = subs.add_parser("probe", help="attribute leakage probe (logistic regression)")
@@ -317,13 +319,13 @@ def build_parser():
     mode.add_argument("--data", help="single dataset; split identity-disjoint internally")
     mode.add_argument("--train", help="training dataset (identity-disjoint from --test)")
     p.add_argument("--test", help="evaluation dataset")
-    p.add_argument("--test-fraction", type=_finite_float, default=0.3,
-                   help="heldout fraction for --data mode (default %(default)s)")
+    p.add_argument("--test-fraction", type=_finite_float,
+                   help="heldout fraction for --data mode (default 0.3)")
     p.add_argument("--epochs", type=int, default=probe.DEFAULT_EPOCHS)
     p.add_argument("--rate", type=_finite_float, default=probe.DEFAULT_RATE)
     p.add_argument("--l2", type=_finite_float, default=probe.DEFAULT_L2)
     p.add_argument("--report", required=True)
-    _add_common(p, ("train", "test"), ("test", "train"))
+    _add_common(p, ("train", "test"), ("test", "train"), ("test_fraction", "data"))
     p.set_defaults(func=_cmd_probe)
 
     p = subs.add_parser("eval", help="group-wise verification TPR@FPR and bias")
@@ -365,7 +367,8 @@ def build_parser():
                    help="operating FPR for the table (default %(default)s)")
     p.add_argument("--impostor-ratio", type=_finite_float,
                    default=verification.DEFAULT_IMPOSTOR_RATIO)
-    p.add_argument("--probe-fraction", type=_finite_float, default=0.3)
+    p.add_argument("--probe-fraction", type=_finite_float, default=0.3,
+                   help="held-out share of the records, fit on the rest (default %(default)s)")
     p.add_argument("--report", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
@@ -379,7 +382,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         for option, partner in args.partners:
             if getattr(args, option) is not None and getattr(args, partner) is None:
-                args.usage_error("--%s needs --%s" % (option, partner))
+                args.usage_error("--%s needs --%s" % (option.replace("_", "-"), partner))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.monotonic()

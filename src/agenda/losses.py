@@ -23,7 +23,8 @@ def _clamped_log(p):
     return np.log(np.maximum(p, LOG_CLAMP))
 
 
-def _true_class_probs(probs, labels, n_classes_name, stacked=False):
+def _true_class_probs(probs, labels, n_classes_name, stacked):
+    """``probs`` as float64, and the probability each row gives its label."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.ndim != 2 and not (stacked and probs.ndim == 3):
@@ -31,26 +32,31 @@ def _true_class_probs(probs, labels, n_classes_name, stacked=False):
     if labels.shape != (probs.shape[-2],):
         raise DimensionError("one label per probability row required")
     if labels.min() < 0 or labels.max() >= probs.shape[-1]:
-        raise ValidationError(
-            "label out of range for %d %s" % (probs.shape[-1], n_classes_name)
-        )
-    return probs[..., np.arange(probs.shape[-2]), labels]
+        raise ValidationError("label out of range for %d %s" % (probs.shape[-1], n_classes_name))
+    return probs, probs[..., np.arange(probs.shape[-2]), labels]
+
+
+def _cross_entropy(probs, labels, n_classes_name, stacked=False):
+    """Mean of -log p(label) over the rows, summed over a stacked leading axis."""
+    _, p_true = _true_class_probs(probs, labels, n_classes_name, stacked)
+    return float(-_clamped_log(p_true).mean(axis=-1).sum())
+
+
+def _cross_entropy_grad(probs, labels, n_classes_name, stacked=False):
+    probs, p_true = _true_class_probs(probs, labels, n_classes_name, stacked)
+    d = np.zeros_like(probs)
+    d[..., np.arange(probs.shape[-2]), labels] = -1.0 / (probs.shape[-2]
+                                                         * np.maximum(p_true, LOG_CLAMP))
+    return d
 
 
 def l_class(probs, y_id):
     """Mean cross-entropy of the classifier rows against identity labels."""
-    p_true = _true_class_probs(probs, y_id, "identity classes")
-    return float(-_clamped_log(p_true).mean())
+    return _cross_entropy(probs, y_id, "identity classes")
 
 
 def l_class_grad(probs, y_id):
-    probs = np.asarray(probs, dtype=np.float64)
-    p_true = _true_class_probs(probs, y_id, "identity classes")
-    d = np.zeros_like(probs)
-    d[np.arange(probs.shape[0]), y_id] = -1.0 / (
-        probs.shape[0] * np.maximum(p_true, LOG_CLAMP)
-    )
-    return d
+    return _cross_entropy_grad(probs, y_id, "identity classes")
 
 
 def l_g_member(out, y_g):
@@ -61,18 +67,11 @@ def l_g_member(out, y_g):
     input holds k members; the value is then the sum of their losses, the
     ensemble objective ``l_g`` sums from a list of members.
     """
-    p_true = _true_class_probs(out, y_g, "attribute classes", stacked=True)
-    return float(-_clamped_log(p_true).mean(axis=-1).sum())
+    return _cross_entropy(out, y_g, "attribute classes", stacked=True)
 
 
 def l_g_member_grad(out, y_g):
-    out = np.asarray(out, dtype=np.float64)
-    p_true = _true_class_probs(out, y_g, "attribute classes", stacked=True)
-    d = np.zeros_like(out)
-    d[..., np.arange(out.shape[-2]), y_g] = -1.0 / (
-        out.shape[-2] * np.maximum(p_true, LOG_CLAMP)
-    )
-    return d
+    return _cross_entropy_grad(out, y_g, "attribute classes", stacked=True)
 
 
 def l_g(member_outputs, y_g):

@@ -279,33 +279,30 @@ def write_report_csv(report, path, comments=()):
     write_csv_report(path, lines, ("fpr", "tpr_m", "tpr_f", "bias"), report_rows(report))
 
 
-def ablation_sweep(dataset, variants, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
+def ablation_sweep(dataset, fits, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
                    seed=0, probe_fraction=0.3):
-    """Evaluate each variant of ``dataset``; emits one table row each.
+    """Fit each variant on one side of an identity split, read it on the other.
 
-    ``variants`` is an iterable of ``(label, DescriptorDataset)``, each a
-    record-for-record transform of ``dataset`` (same order), so one pair
-    protocol and one identity-disjoint probe split, built on ``dataset``
-    from ``seed``, serve them all. A generator may build each variant on
-    demand; a variant is released before the next one is requested.
+    ``fits`` is a list of ``(label, fit)``; ``fit(fit_set)`` returns the
+    variant's re-embedding map, a function from a dataset to the dataset
+    re-embedded. ``split_by_identity`` holds out ``probe_fraction`` of the
+    records by ``seed``, whole identities at a time. Each map is fit on the
+    other side. The leakage probe trains on that side re-embedded and is
+    read on the held-out side re-embedded, and TPR is read on one pair
+    protocol drawn from the held-out side, so each group there needs two
+    identities, one of them with two records.
     Returns rows of (label, tpr_m, tpr_f, bias, probe_accuracy_pct).
     """
-    check_fpr_targets((fpr,))  # before the first variant is built
-    protocol = make_pairs(dataset, impostor_ratio, seed)
-    fit_idx, eval_idx = split_by_identity(dataset, probe_fraction, seed)
+    check_fpr_targets((fpr,))  # before the first variant is fit
+    fit_idx, held_idx = split_by_identity(dataset, probe_fraction, seed)
+    fit_set, held_out = dataset.subset(fit_idx), dataset.subset(held_idx)
+    protocol = make_pairs(held_out, impostor_ratio, seed)
     rows = []
-    for label, variant in variants:
-        report = evaluate(variant, protocol, (fpr,))
-        model = probe_train(variant.subset(fit_idx))
-        probe_report = probe_eval(model, variant.subset(eval_idx))
-        del variant
-        rows.append(
-            (
-                label,
-                report.per_group[1][0].tpr,
-                report.per_group[0][0].tpr,
-                report.bias[0],
-                probe_report.overall_accuracy,
-            )
-        )
+    for label, fit in fits:
+        remap = fit(fit_set)
+        embedded = remap(held_out)
+        report = evaluate(embedded, protocol, (fpr,))
+        probe_report = probe_eval(probe_train(remap(fit_set)), embedded)
+        rows.append((label, report.per_group[1][0].tpr, report.per_group[0][0].tpr,
+                     report.bias[0], probe_report.overall_accuracy))
     return rows

@@ -6,6 +6,7 @@ not an option.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -449,13 +450,14 @@ class TestCriterion8LambdaTrends:
         for seed in (81, 82, 83):
             ds, _ = synthgen.generate(synthgen.SynthSpec(seed=seed))
             base = dataclasses.replace(trainer.TrainConfig(), k=5, t_ep=None, seed=seed)
-            variants = (
-                ("lam=%g" % lam, trainer.transform(
-                    trainer.train(ds, dataclasses.replace(base, lam=lam))[0], ds))
+            fits = [
+                ("lam=%g" % lam, lambda fit_set, lam=lam: functools.partial(
+                    trainer.transform,
+                    trainer.train(fit_set, dataclasses.replace(base, lam=lam))[0]))
                 for lam in lambdas
-            )
+            ]
             rows = verification.ablation_sweep(
-                ds, variants, fpr, impostor_ratio=2.0, seed=seed, probe_fraction=0.3,
+                ds, fits, fpr, impostor_ratio=2.0, seed=seed, probe_fraction=0.3,
             )
             for (label, tpr_m, tpr_f, bias_v, acc), lam in zip(rows, lambdas):
                 probe_acc[lam].append(acc)

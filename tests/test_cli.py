@@ -79,8 +79,9 @@ class TestExitCodes:
         assert "kind=too_large" in err and "Traceback" not in err
 
 
-# A missing or second mode, and an option without its partner. None of the
-# paths exists, so a subcommand that got as far as reading would exit 3.
+# A missing or second mode, an option without its partner, and an option of
+# the other mode. None of the paths exists, so a subcommand that got as far
+# as reading would exit 3.
 USAGE_CASES = [
     ("corrpca", "--out", "{out}"),
     ("corrpca", "--fit", "{a}", "--apply", "{b}", "--out", "{out}"),
@@ -95,6 +96,8 @@ USAGE_CASES = [
     ("probe", "--data", "{a}", "--train", "{b}", "--report", "{out}"),
     ("probe", "--data", "{a}", "--test", "{b}", "--report", "{out}"),
     ("probe", "--train", "{a}", "--report", "{out}"),
+    ("probe", "--train", "{a}", "--test", "{b}", "--test-fraction", "0.9", "--report", "{out}"),
+    ("corrpca", "--apply", "{a}", "--subspace", "{b}", "--out", "{out}", "--spectrum", "{out}"),
 ]
 
 
@@ -385,27 +388,29 @@ class TestManifests:
             "s.cfg", "t.cfg", "c.fds", "m.agnd", "log.csv", "z.fds", "sub.cpca", "spec.csv",
             "proj.fds", "probe.csv", "eval.csv", "w.tpe", "e.fds", "lam.csv", "ks.csv",
             "cmp.csv", "z.json")}
-        write_tiny_spec(tmp_path / "s.cfg", n_identities=16, samples_per_identity=8)
+        write_tiny_spec(tmp_path / "s.cfg", n_identities=24, samples_per_identity=8)
         write_tiny_train_cfg(tmp_path / "t.cfg", n_ep=1)
         train_options = dict(
             lam=1.0, k=2, t_fc=30, t_gtrain=10, t_deb=8, t_plat=8, t_ep=2, n_ep=1,
             g_thresh=1.0, alpha1=1e-3, alpha2=1e-3, alpha3=1e-3,
             batch_size=16, seed=3, validation_fraction=0.15,
         )
-        sweep_options = dict(fpr=0.05, impostor_ratio=2.0, probe_fraction=0.3)
         tpe_note = ("tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), "
                     "dot-product scores")
+        sweep_options = dict(fpr=0.05, impostor_ratio=2.0, probe_fraction=0.3, note=(
+            "protocol=fit on one identity side, probe and TPR read on the held-out "
+            "probe_fraction"))
         runs = [
             (["synth", "--spec", p["s.cfg"], "--out", p["c.fds"]],
              p["c.fds"] + ".manifest.json",
-             dict(n_identities=16, samples_per_identity=8, dim=10, sigma_id=0.5,
+             dict(n_identities=24, samples_per_identity=8, dim=10, sigma_id=0.5,
                   sigma_noise=0.1, attribute_strength=0.4, entanglement=0.0,
                   female_noise_scale=1.0, seed=5),
              [p["s.cfg"]], [p["c.fds"], p["c.fds"] + ".meta.json"], 5),
             (["train", "--data", p["c.fds"], "--config", p["t.cfg"], "--out", p["m.agnd"],
               "--log", p["log.csv"]],
              p["m.agnd"] + ".manifest.json", train_options,
-             [p["c.fds"]], [p["m.agnd"], p["log.csv"]], 3),
+             [p["c.fds"], p["t.cfg"]], [p["m.agnd"], p["log.csv"]], 3),
             (["transform", "--ckpt", p["m.agnd"], "--data", p["c.fds"], "--out", p["z.fds"],
               "--manifest", p["z.json"]],
              p["z.json"], {}, [p["m.agnd"], p["c.fds"]], [p["z.fds"]], None),
@@ -640,7 +645,7 @@ class TestTpeCli:
 
 class TestSweepCli:
     def test_compare_mode(self, tmp_path):
-        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=16, samples_per_identity=8)
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=24, samples_per_identity=8)
         cfg = write_tiny_train_cfg(tmp_path / "t.cfg")
         corpus = tmp_path / "c.fds"
         run_cli("synth", "--spec", spec, "--out", corpus)
@@ -656,7 +661,7 @@ class TestSweepCli:
         assert labels == ["original", "corrpca", "agenda"]
 
     def test_lambda_grid(self, tmp_path):
-        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=16, samples_per_identity=8)
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=24, samples_per_identity=8)
         cfg = write_tiny_train_cfg(tmp_path / "t.cfg", n_ep=1)
         corpus = tmp_path / "c.fds"
         run_cli("synth", "--spec", spec, "--out", corpus)
@@ -673,7 +678,7 @@ class TestSweepCli:
         assert labels == ["lam=0.0", "lam=1.0"]
 
     def test_k_grid(self, tmp_path):
-        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=16, samples_per_identity=8)
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=24, samples_per_identity=8)
         cfg = write_tiny_train_cfg(tmp_path / "t.cfg", n_ep=2)
         corpus = tmp_path / "c.fds"
         run_cli("synth", "--spec", spec, "--out", corpus)
@@ -691,7 +696,7 @@ class TestSweepCli:
 
     def test_compare_agenda_row_equals_lambda_row(self, tmp_path):
         # Both modes share one pair protocol, probe split and row code.
-        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=16, samples_per_identity=8)
+        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=24, samples_per_identity=8)
         cfg = write_tiny_train_cfg(tmp_path / "t.cfg")  # lam=1.0
         corpus = tmp_path / "c.fds"
         run_cli("synth", "--spec", spec, "--out", corpus)
@@ -709,6 +714,22 @@ class TestSweepCli:
                     label, *values = line.split(",")
                     rows[label] = values
         assert rows["agenda"] == rows["lam=1.0"]
+
+    def test_held_out_side_without_two_identities_per_group_is_4(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a variant was fit")
+
+        for module, name in ((trainer, "train"), (cli.corrpca, "fit")):
+            monkeypatch.setattr(module, name, no_fit)
+        data, report = tmp_path / "c.fds", tmp_path / "r.csv"
+        # 8 identities of 8 records: the 0.3 held out are 3 identities
+        dataio.write_dataset(tiny_corpus(n_identities=8)[0], data)
+        code = cli.main(["sweep", "--data", str(data), "--compare", "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and err.startswith("agenda: error exit=4 kind=ValidationError")
+        assert not report.exists()
 
 
 class TestDeterminism:
