@@ -22,10 +22,11 @@ Every subcommand runs numpy's BLAS on one thread whatever
 OPENBLAS_NUM_THREADS says, so its outputs are the same bytes at any BLAS
 thread count (a multi-threaded ``eigh`` moves low-order bits); every
 manifest records that count as ``blas_threads``. ``train`` (and every
-training run of ``sweep``) runs stage 2's member groups and stage 3's
-classifier and discriminator lanes on one worker thread per usable core,
-at most k; its outputs are the same bytes at any core count, and the train
-manifest records the worker count.
+training run of ``sweep``) runs stage 2's member groups, stage 3's
+classifier and discriminator lanes and the two row parts of stage 1's
+large products on one worker thread per usable core, at most k; its
+outputs are the same bytes at any core count. The train manifest records
+the worker count and each stage's wall seconds (``stage_seconds``).
 """
 
 import argparse
@@ -134,7 +135,8 @@ def _cmd_train(args):
     log_path = args.log or (args.out + ".log.csv")
     log.write_csv(log_path, _comment_block(args, config.seed, config.to_kv()))
     return (config.to_kv(), [args.data] + config_input, [args.out, log_path], config.seed,
-            dict(workers=log.workers))
+            dict(workers=log.workers, stage_seconds={
+                stage: round(seconds, 3) for stage, seconds in log.stage_seconds.items()}))
 
 
 def _cmd_transform(args):

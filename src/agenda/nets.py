@@ -20,6 +20,12 @@ the cache plus an upstream gradient and produces exact analytic gradients
 for the parameters and, when asked, the layer input. All math is float64.
 Shapes are taken from the parameter arrays, so tests can build small toy
 nets while the factories produce the production sizes.
+
+The generator and classifier passes take an optional ``pool`` (anything
+with ``submit``). Given one, each large product is cut in two by output
+rows and the second part runs on the pool; every output element is still
+one gemm dot product over the whole summed axis, so the bytes are those of
+a single call.
 """
 
 import math
@@ -200,44 +206,85 @@ def _select(mask, other):
     return on + (1.0 - on) * other
 
 
-def generator_forward(params, x):
+SPLIT_WORK = 1 << 23  # multiply-adds; a smaller product is always one call
+SPLIT_ROWS = 64  # the fewest rows of a part: thinner ones can take BLAS's small-matrix path
+
+
+def _split_at(rows, work):
+    """The output row where a product of ``rows`` rows and ``work``
+    multiply-adds is cut in two, or None for one call. It depends on the
+    shape only: a multiple of 8 near the middle, with ``SPLIT_ROWS`` or
+    more rows on each side."""
+    if work < SPLIT_WORK or rows < 2 * SPLIT_ROWS:
+        return None
+    return rows // 16 * 8
+
+
+def splits(a, b):
+    """Whether ``a @ b`` is cut in two when computed with a pool."""
+    return _split_at(len(a), a.size * b.shape[1]) is not None
+
+
+def _product(a, b, out=None, pool=None):
+    """``a @ b`` into ``out`` (a new array when None). With a ``pool`` and
+    a large enough product, the rows from the cut on are computed there
+    while this thread computes the rest; each part writes only its own
+    rows of ``out``. An error of either part is raised once both are done."""
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    cut = None if pool is None else _split_at(len(a), a.size * b.shape[1])
+    if cut is None:
+        return np.matmul(a, b, out=out)
+    second = pool.submit(np.matmul, a[cut:], b, out[cut:])
+    try:
+        np.matmul(a[:cut], b, out=out[:cut])
+    except BaseException:
+        second.exception()  # waits for the other part
+        raise
+    second.result()
+    return out
+
+
+def generator_forward(params, x, pool=None):
     """PReLU(x @ W + b); returns (batch x units, cache)."""
     x = _check_batch(x, params.weight.shape[0], "generator_forward")
-    z = x @ params.weight + params.bias
+    z = _product(x, params.weight, pool=pool)
+    z += params.bias
     z_neg = np.minimum(z, 0.0)
     # max(z, 0) + slope min(z, 0) is exactly z where z >= 0, slope z below.
     out = np.maximum(z, 0.0) + z_neg * params.prelu_slope
     return out, (x, z_neg)
 
 
-def generator_backward(params, cache, d_out, input_grad=True):
+def generator_backward(params, cache, d_out, input_grad=True, pool=None):
     """Parameter gradients, plus the input gradient when ``input_grad``."""
     d_out = _check_upstream(cache, 1, d_out, "generator_backward")
     x, z_neg = cache
     d_z = d_out * _select(z_neg == 0.0, params.prelu_slope)
     grads = params.empty_like()
-    np.matmul(x.T, d_z, out=grads.weight)
+    _product(x.T, d_z, grads.weight, pool)
     d_z.sum(axis=0, out=grads.bias)
     (d_out * z_neg).sum(axis=0, out=grads.prelu_slope)
-    return grads, (d_z @ params.weight.T if input_grad else None)
+    return grads, (_product(d_z, params.weight.T, pool=pool) if input_grad else None)
 
 
-def classifier_forward(params, f_out):
+def classifier_forward(params, f_out, pool=None):
     """softmax(f @ W + b) with max-subtraction; rows sum to 1."""
     f_out = _check_batch(f_out, params.weight.shape[0], "classifier_forward")
-    logits = f_out @ params.weight + params.bias
+    logits = _product(f_out, params.weight, pool=pool)
+    logits += params.bias
     probs = _softmax_rows(logits)
     return probs, (f_out, probs)
 
 
-def classifier_backward(params, cache, d_probs):
+def classifier_backward(params, cache, d_probs, pool=None):
     d_probs = _check_upstream(cache, 1, d_probs, "classifier_backward")
     f_out, probs = cache
     d_logits = _softmax_backward(probs, d_probs)
     grads = params.empty_like()
-    np.matmul(f_out.T, d_logits, out=grads.weight)
+    _product(f_out.T, d_logits, grads.weight, pool)
     d_logits.sum(axis=0, out=grads.bias)
-    return grads, d_logits @ params.weight.T
+    return grads, _product(d_logits, params.weight.T, pool=pool)
 
 
 def discriminator_forward(params, f_out):

@@ -26,7 +26,12 @@ contiguous groups, each trained for all ``t_gtrain`` steps on its own
 thread and Adam state. In stage 3 the classifier lane (forward, loss,
 backward) runs beside the discriminator lane (stacked forward, the
 strongest member's input gradient), and the classifier's Adam step runs
-beside the generator's backward pass and Adam step. ``thread_plan`` picks
+beside the generator's backward pass and Adam step. Stage 1 has one lane;
+the pool computes the second row part of each large generator and
+classifier product (``nets._product``), and where those products are cut,
+the classifier's Adam step as in stage 3. A cut depends on the product's
+shape only, never on the worker count. Only this thread submits work, and
+only lanes that never wait on the pool run on it. ``thread_plan`` picks
 the worker count; BLAS runs on one thread for the length of ``train``
 (``linalg.blas_threads``).
 
@@ -43,6 +48,7 @@ import functools
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,8 +149,12 @@ class LogRecord:
 
 @dataclass
 class TrainLog:
+    """The log rows, plus what the manifest records: the worker count and
+    each stage's wall seconds, summed over the episodes (never in a row)."""
+
     records: list = field(default_factory=list)
     workers: int = 1  # threads training ran on
+    stage_seconds: dict = field(default_factory=dict)  # stage number -> seconds
 
     def append(self, **kw):
         self.records.append(LogRecord(**kw))
@@ -220,10 +230,11 @@ def _generate(gen, vectors, rows=None, chunk=GENERATOR_CHUNK):
     return out
 
 
-def _classifier_lane(cls, f_out, y_id):
-    probs, ccache = nets.classifier_forward(cls, f_out)
+def _classifier_lane(cls, f_out, y_id, split=None):
+    probs, ccache = nets.classifier_forward(cls, f_out, pool=split)
     lc = losses.l_class(probs, y_id)
-    cgrads, d_f = nets.classifier_backward(cls, ccache, losses.l_class_grad(probs, y_id))
+    cgrads, d_f = nets.classifier_backward(cls, ccache, losses.l_class_grad(probs, y_id),
+                                           pool=split)
     return lc, cgrads, d_f
 
 
@@ -231,15 +242,17 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
     """One generator + classifier update (stage 1, or stage 3 with the
     frozen ``ensemble``); returns the fields of the iteration's log row.
 
-    In stage 3 the classifier lane runs on ``pool`` beside the
-    discriminator lane; stage 1 has one lane and runs on this thread, as
-    there the hand-offs cost more than the overlap saves. The loss check
-    comes before any parameter moves.
+    Stage 1 has one lane, on this thread, and splits the large products of
+    its generator and classifier passes by rows across ``pool``. In stage 3
+    no product is split, and the classifier lane runs on ``pool`` beside
+    the discriminator lane. The classifier's Adam step runs on ``pool``
+    beside the generator's backward pass, in stage 1 only where the
+    products are split: beside small ones the hand-off costs more than it
+    overlaps. The loss check comes before any parameter moves.
     """
-    if ensemble is None:
-        pool = _INLINE
-    f_out, gcache = nets.generator_forward(gen, x)
-    classified = pool.submit(_classifier_lane, cls, f_out, y_id)
+    split, lanes = (pool, _INLINE) if ensemble is None else (None, pool)
+    f_out, gcache = nets.generator_forward(gen, x, pool=split)
+    classified = lanes.submit(_classifier_lane, cls, f_out, y_id, split)
     if ensemble is not None:
         outs, dcache = nets.discriminator_forward(ensemble, f_out)  # all k at once
         ld, kstar = losses.l_deb([losses.l_a(out) for out in outs])
@@ -260,8 +273,9 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
         row.update(l_deb=ld, l_br=lbr, member_k=kstar)
         if lam > 0:
             d_f = d_f + d_f_deb
-    moved = pool.submit(nets.adam_step, adam_cls, cls, cgrads)
-    ggrads, _ = nets.generator_backward(gen, gcache, d_f, input_grad=False)
+    beside = pool if ensemble is not None or nets.splits(x, gen.weight) else _INLINE
+    moved = beside.submit(nets.adam_step, adam_cls, cls, cgrads)
+    ggrads, _ = nets.generator_backward(gen, gcache, d_f, input_grad=False, pool=split)
     nets.adam_step(adam_gen, gen, ggrads)  # its error, if any, is raised first
     moved.result()
     return row
@@ -395,11 +409,14 @@ def train(dataset, config, stage_hook=None):
 
     @contextlib.contextmanager
     def stage_span(episode, stage):
-        """Hook calls around one stage; yields the stage's batch stream."""
+        """Hook calls around one stage, whose wall time (hooks excluded)
+        adds to ``log.stage_seconds``; yields the stage's batch stream."""
         if stage_hook is not None:
             stage_hook("start", episode, stage, gen, cls, ensemble)
+        started = time.monotonic()
         ss = np.random.SeedSequence(config.seed, spawn_key=(NS_BATCHES, episode, stage))
         yield balanced_batches(train_attrs, config.batch_size, ss)
+        log.stage_seconds[stage] = log.stage_seconds.get(stage, 0.0) + time.monotonic() - started
         if stage_hook is not None:
             stage_hook("end", episode, stage, gen, cls, ensemble)
 

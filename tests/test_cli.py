@@ -465,13 +465,19 @@ class TestManifests:
             assert cli.main(argv) == 0, argv
             with open(path, encoding="utf-8") as handle:
                 manifest = json.load(handle)
-            extra = {"workers"} if argv[0] == "train" else set()
+            extra = {"workers", "stage_seconds"} if argv[0] == "train" else set()
             assert set(manifest) == keys | extra, argv
             wall_time_s = manifest.pop("wall_time_s")
             assert isinstance(wall_time_s, float) and wall_time_s >= 0.0
             assert manifest.pop("blas_threads") == blas_threads, argv
             if extra:
                 assert manifest.pop("workers") == workers
+                # wall seconds per stage, summed over the episodes; each
+                # of the five figures is rounded to the millisecond
+                stage_seconds = manifest.pop("stage_seconds")
+                assert sorted(stage_seconds) == ["1", "2", "3", "4"]
+                assert all(isinstance(s, float) and s >= 0.0 for s in stage_seconds.values())
+                assert sum(stage_seconds.values()) <= wall_time_s + 0.003
             assert manifest == dict(tool_version="0.1.0", subcommand=argv[0], options=options,
                                     inputs=inputs, outputs=outputs, seed=seed), argv
 

@@ -1,9 +1,12 @@
 import struct
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from agenda import nets
+from agenda import linalg, nets
 from agenda.errors import DataFormatError, DimensionError, NumericError, StateError
 
 
@@ -286,6 +289,120 @@ class TestAdam:
         grads = nets.ClassifierParams(weight=np.array([[np.nan]]), bias=np.zeros(1))
         with pytest.raises(NumericError, match="weight"):
             nets.adam_step(nets.AdamState(lr=1e-3), params, grads)
+
+
+class RecordingPool:
+    """Runs each submitted part on one worker thread and keeps the part's
+    output rows, so a test sees where every product was cut."""
+
+    def __init__(self, executor):
+        self.executor, self.parts = executor, []
+
+    def submit(self, fn, a, b, out):
+        self.parts.append(len(out))
+        return self.executor.submit(fn, a, b, out)
+
+
+# (K, N) of every product of the three nets at 64-, 160- and 512-d, with
+# the desk corpus's 180 training identities: forward, input gradient and
+# their transposes, which the weight gradients take with a transposed left.
+NET_SHAPES = sorted({
+    *((d, 256) for d in (64, 160, 512)), *((256, d) for d in (64, 160, 512)),
+    (256, 180), (180, 256), (256, 128), (128, 256), (128, 2), (2, 128),
+})
+
+
+class TestSplitProduct:
+    """A product cut by output rows has the bytes of one gemm call."""
+
+    def test_split_bytes_equal_one_call(self, monkeypatch):
+        # the floor lowered to 0 cuts every product of 128 or more rows
+        monkeypatch.setattr(nets, "SPLIT_WORK", 0)
+        rng = np.random.default_rng(5)
+        with linalg.blas_threads(1), ThreadPoolExecutor(1) as executor:
+            pool = RecordingPool(executor)
+            for k, n in NET_SHAPES:
+                b = rng.normal(size=(k, n))
+                for rows in (*range(64, 1025, 45), 400, 1024):
+                    for a in (rng.normal(size=(rows, k)), rng.normal(size=(k, rows)).T):
+                        cuts = len(pool.parts)
+                        out = nets._product(a, b, pool=pool)
+                        assert out.tobytes() == np.matmul(a, b).tobytes(), (rows, k, n)
+                        assert len(pool.parts) == cuts + (rows >= 2 * nets.SPLIT_ROWS)
+                        if len(pool.parts) > cuts:
+                            cut = rows - pool.parts[-1]
+                            assert cut % 8 == 0 and cut >= nets.SPLIT_ROWS
+                            assert rows - cut >= nets.SPLIT_ROWS
+        assert len(pool.parts) > 500
+
+    def test_every_cut_is_aligned_and_leaves_two_large_parts(self):
+        for rows in range(2 * nets.SPLIT_ROWS, 4097):
+            cut = nets._split_at(rows, nets.SPLIT_WORK)
+            assert cut % 8 == 0 and nets.SPLIT_ROWS <= cut <= rows - cut <= cut + 15
+        assert nets._split_at(2 * nets.SPLIT_ROWS - 1, 10 * nets.SPLIT_WORK) is None
+        assert nets._split_at(1024, nets.SPLIT_WORK - 1) is None
+
+    def test_below_the_floor_is_one_call(self):
+        # the desk's batch-128 products at 64-d stay whole; the paper's
+        # 512-d batch-400 ones are cut
+        rng = np.random.default_rng(6)
+        desk = [(128, 64, 256), (128, 256, 180), (256, 128, 180), (64, 128, 256)]
+        with ThreadPoolExecutor(1) as executor:
+            pool = RecordingPool(executor)
+            for rows, k, n in desk:
+                a, b = rng.normal(size=(rows, k)), rng.normal(size=(k, n))
+                assert not nets.splits(a, b)
+                assert nets._product(a, b, pool=pool).tobytes() == np.matmul(a, b).tobytes()
+            assert pool.parts == []
+            a, b = rng.normal(size=(400, 512)), rng.normal(size=(512, 256))
+            assert nets.splits(a, b)
+            nets._product(a, b, pool=pool)
+            assert pool.parts == [200]
+
+    def test_passes_with_a_pool_equal_passes_without(self):
+        rng = np.random.default_rng(7)
+        gen, cls = nets.init_generator(512, 1), nets.init_classifier(180, 2)
+        x = rng.normal(size=(400, 512))
+        with linalg.blas_threads(1), ThreadPoolExecutor(1) as executor:
+            results = []
+            for pool in (None, RecordingPool(executor)):
+                f, gcache = nets.generator_forward(gen, x, pool=pool)
+                probs, ccache = nets.classifier_forward(cls, f, pool=pool)
+                cgrads, d_f = nets.classifier_backward(cls, ccache, probs - 0.5, pool=pool)
+                ggrads, d_x = nets.generator_backward(gen, gcache, d_f, pool=pool)
+                results.append([v.tobytes() for v in (f, probs, cgrads.flat, d_f,
+                                                      ggrads.flat, d_x)])
+            assert pool.parts == [200, 200, 128, 200, 256, 200]
+        assert results[1] == results[0]
+
+    def test_a_failed_part_raises_once_both_are_done(self):
+        finished = threading.Event()
+
+        class SlowPool:
+            def submit(self, fn, *args):
+                def late():
+                    time.sleep(0.05)
+                    try:
+                        return fn(*args)
+                    finally:
+                        finished.set()
+                return executor.submit(late)
+
+        with ThreadPoolExecutor(1) as executor:
+            # inner sizes differ: both parts fail, this thread's first
+            with pytest.raises(ValueError):
+                nets._product(np.ones((400, 512)), np.ones((511, 256)), np.empty((400, 256)),
+                              SlowPool())
+            assert finished.is_set()
+
+        class FailingPool:
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_exception(RuntimeError("worker part"))
+                return future
+
+        with pytest.raises(RuntimeError, match="worker part"):
+            nets._product(np.ones((400, 512)), np.ones((512, 256)), pool=FailingPool())
 
 
 class TestInitAndCheckpoint:

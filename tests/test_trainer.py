@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 import threading
 import time
@@ -284,6 +285,53 @@ class TestWorkerCounts:
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
 
+    def test_same_bytes_where_stage_1_splits(self, monkeypatch):
+        # The paper's 512-d at batch 400, with 85 training identities: all
+        # five stage-1 products are over the work floor, so each is cut in
+        # two, and the step asks once more where the classifier's Adam step
+        # runs; with the floor above every shape, nothing is cut.
+        ds, _ = tiny_corpus(n_identities=100, samples=8, dim=512)
+        cfg = tiny_config(k=3, t_fc=4, t_gtrain=2, t_deb=2, t_plat=2, batch_size=400)
+        real = nets._split_at
+        cuts = []
+
+        def counted(rows, work):
+            cut = real(rows, work)
+            cuts.append(cut)
+            return cut
+
+        monkeypatch.setattr(nets, "_split_at", counted)
+        runs, splits = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers, floor in ((1, nets.SPLIT_WORK), (2, nets.SPLIT_WORK),
+                                   (cfg.k, nets.SPLIT_WORK), (2, math.inf)):
+                monkeypatch.setattr(nets, "SPLIT_WORK", floor)
+                cuts.clear()
+                gen, cls, ensemble, log = _train_on(monkeypatch, workers, ds, cfg)
+                runs.append(([p.flat.tobytes() for p in (gen, cls, ensemble)],
+                             list(log.rows())))
+                splits.append(sum(cut is not None for cut in cuts))
+        finally:
+            sys.setswitchinterval(interval)
+        assert splits == [6 * cfg.t_fc] * 3 + [0]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        assert runs[3] == runs[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_split_stage_raises_the_same_error(self, monkeypatch):
+        # alpha1 = 1e300 sends the generator past overflow at stage 1's first step
+        ds, _ = tiny_corpus(n_identities=100, samples=8, dim=512)
+        cfg = tiny_config(batch_size=400, alpha1=1e300)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(NumericError) as err:
+                _train_on(monkeypatch, workers, ds, cfg)
+            messages.append(str(err.value))
+        assert messages == ["non-finite loss (nan) at stage 1, episode 0, iteration 1"] * 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_stack_raises_the_same_error(self, monkeypatch):
         # alpha2 = 1e300 sends every member to NaN at stage 2, iteration 1
@@ -437,10 +485,10 @@ class TestFrozenGeneratorPass:
         rows = []
         real = nets.generator_forward
 
-        def counted(params, x):
+        def counted(params, x, **kw):
             if stage[0] in (2, 4):
                 rows.append(len(x))
-            return real(params, x)
+            return real(params, x, **kw)
 
         def hook(event, episode, number, *_):
             stage[0] = number if event == "start" else None
@@ -452,8 +500,9 @@ class TestFrozenGeneratorPass:
 
 def test_512d_train_peak_rss_is_bounded(corpus_512d, tmp_path):
     # The paper's shapes on a short schedule. With the splits as index
-    # arrays into the one corpus the peak is 136 MiB; copying the training
-    # and validation splits beside the corpus took 167 MiB.
+    # arrays into the one corpus the peak is about 138 MiB, with stage 1's
+    # products split by rows across the pool as without; copying the
+    # training and validation splits beside the corpus took 167 MiB.
     cfg = tmp_path / "t.cfg"
     cfg.write_text("k=5\nt_fc=20\nt_gtrain=10\nt_deb=5\nt_plat=5\nn_ep=2\nbatch_size=400\n")
     peak_mib = peak_rss_mib("train", "--data", corpus_512d, "--config", cfg,
