@@ -220,11 +220,6 @@ def _split_at(rows, work):
     return rows // 16 * 8
 
 
-def splits(a, b):
-    """Whether ``a @ b`` is cut in two when computed with a pool."""
-    return _split_at(len(a), a.size * b.shape[1]) is not None
-
-
 def _product(a, b, out=None, pool=None):
     """``a @ b`` into ``out`` (a new array when None). With a ``pool`` and
     a large enough product, the rows from the cut on are computed there

@@ -28,12 +28,11 @@ backward) runs beside the discriminator lane (stacked forward, the
 strongest member's input gradient), and the classifier's Adam step runs
 beside the generator's backward pass and Adam step. Stage 1 has one lane;
 the pool computes the second row part of each large generator and
-classifier product (``nets._product``), and where those products are cut,
-the classifier's Adam step as in stage 3. A cut depends on the product's
-shape only, never on the worker count. Only this thread submits work, and
-only lanes that never wait on the pool run on it. ``thread_plan`` picks
-the worker count; BLAS runs on one thread for the length of ``train``
-(``linalg.blas_threads``).
+classifier product (``nets._product``), and the classifier's Adam step
+as in stage 3. A cut depends on the product's shape only, never on the
+worker count. Only this thread submits work, and only lanes that never
+wait on the pool run on it. ``thread_plan`` picks the worker count; BLAS
+runs on one thread for the length of ``train`` (``linalg.blas_threads``).
 
 Memory: the training and validation splits are index arrays into the one
 float64 corpus the caller holds. Batches gather their rows from it, and the
@@ -245,10 +244,9 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
     Stage 1 has one lane, on this thread, and splits the large products of
     its generator and classifier passes by rows across ``pool``. In stage 3
     no product is split, and the classifier lane runs on ``pool`` beside
-    the discriminator lane. The classifier's Adam step runs on ``pool``
-    beside the generator's backward pass, in stage 1 only where the
-    products are split: beside small ones the hand-off costs more than it
-    overlaps. The loss check comes before any parameter moves.
+    the discriminator lane. In both, the classifier's Adam step runs on
+    ``pool`` beside the generator's backward pass. The loss check comes
+    before any parameter moves.
     """
     split, lanes = (pool, _INLINE) if ensemble is None else (None, pool)
     f_out, gcache = nets.generator_forward(gen, x, pool=split)
@@ -273,8 +271,7 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
         row.update(l_deb=ld, l_br=lbr, member_k=kstar)
         if lam > 0:
             d_f = d_f + d_f_deb
-    beside = pool if ensemble is not None or nets.splits(x, gen.weight) else _INLINE
-    moved = beside.submit(nets.adam_step, adam_cls, cls, cgrads)
+    moved = pool.submit(nets.adam_step, adam_cls, cls, cgrads)
     ggrads, _ = nets.generator_backward(gen, gcache, d_f, input_grad=False, pool=split)
     nets.adam_step(adam_gen, gen, ggrads)  # its error, if any, is raised first
     moved.result()

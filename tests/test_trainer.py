@@ -288,8 +288,7 @@ class TestWorkerCounts:
     def test_same_bytes_where_stage_1_splits(self, monkeypatch):
         # The paper's 512-d at batch 400, with 85 training identities: all
         # five stage-1 products are over the work floor, so each is cut in
-        # two, and the step asks once more where the classifier's Adam step
-        # runs; with the floor above every shape, nothing is cut.
+        # two; with the floor above every shape, nothing is cut.
         ds, _ = tiny_corpus(n_identities=100, samples=8, dim=512)
         cfg = tiny_config(k=3, t_fc=4, t_gtrain=2, t_deb=2, t_plat=2, batch_size=400)
         real = nets._split_at
@@ -315,7 +314,7 @@ class TestWorkerCounts:
                 splits.append(sum(cut is not None for cut in cuts))
         finally:
             sys.setswitchinterval(interval)
-        assert splits == [6 * cfg.t_fc] * 3 + [0]
+        assert splits == [5 * cfg.t_fc] * 3 + [0]
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
         assert runs[3] == runs[0]
