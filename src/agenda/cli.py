@@ -39,6 +39,7 @@ import time
 from . import __version__, corrpca, linalg, probe, synthgen, tpe, trainer, verification
 from .dataio import (
     format_float,
+    read_config,
     read_dataset,
     split_by_identity,
     write_csv_report,
@@ -108,7 +109,7 @@ def _write_manifest(args, started, blas_threads, options, inputs, outputs, seed,
 
 
 def _cmd_synth(args):
-    spec = synthgen.SynthSpec.from_file(args.spec) if args.spec else synthgen.SynthSpec()
+    spec = read_config(args.spec, synthgen.SynthSpec) if args.spec else synthgen.SynthSpec()
     if args.seed is not None:
         spec.seed = args.seed
     dataset, metadata = synthgen.generate(spec)
@@ -121,7 +122,7 @@ def _cmd_synth(args):
 
 def _train_config(args):
     """The TrainConfig of --config (defaults without it) under --seed, and its inputs."""
-    config = trainer.TrainConfig.from_file(args.config) if args.config else trainer.TrainConfig()
+    config = read_config(args.config, trainer.TrainConfig) if args.config else trainer.TrainConfig()
     if args.seed is not None:
         config.seed = args.seed
     return config, [args.config] if args.config else []

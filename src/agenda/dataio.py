@@ -236,8 +236,15 @@ def split_by_identity(dataset, heldout_fraction, seed):
     return np.flatnonzero(~mask), np.flatnonzero(mask)
 
 
-def read_kv_config(path):
-    """Parse a ``key=value`` text file; '#' starts a comment, blanks ignored."""
+def read_config(path, cls):
+    """The dataclass ``cls`` with the fields a ``key=value`` text file sets.
+
+    '#' starts a comment and blank lines are ignored; a repeated key takes
+    its last value. Every line is parsed before any key is checked, so a
+    malformed line (``DataFormatError``) is reported before an unknown key
+    or a value that is not of the field's type (``ValidationError``), and
+    so are float values that are not finite.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -254,38 +261,25 @@ def read_kv_config(path):
             )
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
-    return values
-
-
-def coerce_kv(values, cls):
-    """Coerce string config values to the field types of dataclass ``cls``.
-
-    Unknown keys raise so typos in config files fail loudly, and so do
-    float values that are not finite.
-    """
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    out = {}
     for key, raw in values.items():
         if key not in fields:
             raise ValidationError(
                 "unknown config key %r (known: %s)" % (key, ", ".join(sorted(fields)))
             )
-        typ = fields[key]
         try:
-            out[key] = typ(raw)
+            values[key] = fields[key](raw)
         except ValueError as exc:
             raise ValidationError("config key %r: %s" % (key, exc)) from exc
-        if typ is float and not math.isfinite(out[key]):
+        if fields[key] is float and not math.isfinite(values[key]):
             raise ValidationError("config key %r: %r is not finite" % (key, raw))
-    return out
+    return cls(**values)
 
 
 def format_float(x):
     """Shortest round-trip decimal form; keeps report files byte-stable."""
     if x is None:
         return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return repr(float(x))
 
 

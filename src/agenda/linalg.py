@@ -97,7 +97,6 @@ def _canonical_signs(vectors):
     # eigenvector files reproducible despite the inherent sign ambiguity.
     idx = np.argmax(np.abs(vectors), axis=1)
     signs = np.sign(vectors[np.arange(vectors.shape[0]), idx])
-    signs[signs == 0] = 1.0
     return vectors * signs[:, None]
 
 

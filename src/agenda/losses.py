@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 LOG_CLAMP = 1e-12
-UNIFORM_PAIR_LOSS = float(np.log(2.0))  # global minimum of the confusion loss
 
 
 def _clamped_log(p):

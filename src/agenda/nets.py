@@ -16,10 +16,12 @@ stacked ``(k, ...)`` views and ``members`` holds per-member views, so the
 discriminator passes run either one member or all k at once.
 
 Forward passes return ``(output, cache)``; the matching backward consumes
-the cache plus an upstream gradient and produces exact analytic gradients
-for the parameters and, when asked, the layer input. All math is float64.
-Shapes are taken from the parameter arrays, so tests can build small toy
-nets while the factories produce the production sizes.
+the cache plus an upstream gradient and produces exact analytic gradients.
+The generator's backward gives its parameter gradients only (nothing
+upstream of it learns); the classifier's also gives the gradient of its
+input, and the discriminator's gives either or both, as asked. All math is
+float64. Shapes are taken from the parameter arrays, so tests can build
+small toy nets from arrays while the factories produce the production sizes.
 
 The generator and classifier passes take an optional ``pool`` (anything
 with ``submit``). Given one, each large product is cut in two by output
@@ -49,16 +51,16 @@ SELU_ALPHA = 1.6732632423543772
 class _Params:
     """Named blocks (``FIELDS``) viewing one contiguous float64 buffer.
 
-    Built from arrays (positionally or by name) the blocks are copied into
-    a fresh buffer; ``_view`` binds the blocks onto an existing buffer.
+    Built from one array per block, each passed by its name, the blocks are
+    copied into a fresh buffer; ``_view`` binds the blocks onto an existing
+    buffer.
     """
 
     FIELDS = ()
     STACKED = False  # blocks carry a leading member axis
 
-    def __init__(self, *arrays, **named):
-        named.update(zip(self.FIELDS, arrays))
-        arrays = [np.asarray(named[name], dtype=np.float64) for name in self.FIELDS]
+    def __init__(self, **blocks):
+        arrays = [np.asarray(blocks[name], dtype=np.float64) for name in self.FIELDS]
         self._bind(np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays))
 
     @classmethod
@@ -115,47 +117,43 @@ class EnsembleParams(_Params):
         return self._view(self.flat[start * size : stop * size], self.shapes)
 
 
-def _glorot(rng, fan_in, fan_out, shape):
+def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def _rng_of(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
     return np.random.Generator(np.random.Philox(seed))
 
 
-def init_generator(in_dim, seed, units=GENERATOR_UNITS):
-    rng = _rng_of(seed)
+def init_generator(in_dim, seed):
     return GeneratorParams(
-        weight=_glorot(rng, in_dim, units, (in_dim, units)),
-        bias=np.zeros(units),
-        prelu_slope=np.full(units, PRELU_INIT_SLOPE),
+        weight=_glorot(_rng_of(seed), in_dim, GENERATOR_UNITS),
+        bias=np.zeros(GENERATOR_UNITS),
+        prelu_slope=np.full(GENERATOR_UNITS, PRELU_INIT_SLOPE),
     )
 
 
-def init_classifier(n_identities, seed, units=GENERATOR_UNITS):
-    rng = _rng_of(seed)
+def init_classifier(n_identities, seed):
     return ClassifierParams(
-        weight=_glorot(rng, units, n_identities, (units, n_identities)),
+        weight=_glorot(_rng_of(seed), GENERATOR_UNITS, n_identities),
         bias=np.zeros(n_identities),
     )
 
 
-def init_discriminator(seed, units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
+def init_discriminator(seed):
     rng = _rng_of(seed)
     return DiscriminatorParams(
-        w1=_glorot(rng, units, hidden, (units, hidden)),
-        b1=np.zeros(hidden),
-        w2=_glorot(rng, hidden, 2, (hidden, 2)),
+        w1=_glorot(rng, GENERATOR_UNITS, DISCRIMINATOR_HIDDEN),
+        b1=np.zeros(DISCRIMINATOR_HIDDEN),
+        w2=_glorot(rng, DISCRIMINATOR_HIDDEN, 2),
         b2=np.zeros(2),
     )
 
 
-def init_ensemble(k, seed, units=GENERATOR_UNITS, hidden=DISCRIMINATOR_HIDDEN):
+def init_ensemble(k, seed):
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return EnsembleParams([init_discriminator(c, units, hidden) for c in ss.spawn(k)])
+    return EnsembleParams([init_discriminator(c) for c in ss.spawn(k)])
 
 
 def _check_batch(x, expected_cols, who):
@@ -251,8 +249,8 @@ def generator_forward(params, x, pool=None):
     return out, (x, z_neg)
 
 
-def generator_backward(params, cache, d_out, input_grad=True, pool=None):
-    """Parameter gradients, plus the input gradient when ``input_grad``."""
+def generator_backward(params, cache, d_out, pool=None):
+    """The parameter gradients; the generator's input gets none."""
     d_out = _check_upstream(cache, 1, d_out, "generator_backward")
     x, z_neg = cache
     d_z = d_out * _select(z_neg == 0.0, params.prelu_slope)
@@ -260,7 +258,7 @@ def generator_backward(params, cache, d_out, input_grad=True, pool=None):
     _product(x.T, d_z, grads.weight, pool)
     d_z.sum(axis=0, out=grads.bias)
     (d_out * z_neg).sum(axis=0, out=grads.prelu_slope)
-    return grads, (_product(d_z, params.weight.T, pool=pool) if input_grad else None)
+    return grads
 
 
 def classifier_forward(params, f_out, pool=None):
@@ -376,7 +374,6 @@ def adam_step(state, params, grads):
     np.multiply(np.divide(m, bc1, out=s), state.lr, out=s)
     np.sqrt(np.add(np.divide(v, bc2, out=r), ADAM_EPS, out=r), out=r)
     p -= np.divide(s, r, out=s)
-    return params, state
 
 
 CKPT_MAGIC = b"AGND"

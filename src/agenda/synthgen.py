@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DescriptorDataset, coerce_kv, read_kv_config
+from .dataio import DescriptorDataset
 from .errors import ValidationError
 
 NOISE_GENERATOR = "philox4x64-numpy"
@@ -68,10 +68,6 @@ class SynthSpec:
             raise ValidationError("entanglement must be in [0, 1]")
         if self.female_noise_scale <= 0:
             raise ValidationError("female_noise_scale must be positive")
-
-    @classmethod
-    def from_file(cls, path):
-        return cls(**coerce_kv(read_kv_config(path), cls))
 
 
 def _unit(vec):

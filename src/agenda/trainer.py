@@ -53,13 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, losses, nets
-from .dataio import (
-    coerce_kv,
-    format_float,
-    read_kv_config,
-    split_by_identity,
-    write_csv_report,
-)
+from .dataio import format_float, split_by_identity, write_csv_report
 from .errors import NumericError, ValidationError
 
 # Spawn-key namespaces under the run seed.
@@ -123,10 +117,6 @@ class TrainConfig:
             raise ValidationError("batch_size must be even and >= 2 (attribute balancing)")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValidationError("validation_fraction must be in (0, 1)")
-
-    @classmethod
-    def from_file(cls, path):
-        return cls(**coerce_kv(read_kv_config(path), cls))
 
     def to_kv(self):
         return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
@@ -216,14 +206,15 @@ def _check_finite(value, stage, episode, iteration):
 GENERATOR_CHUNK = 1024  # rows per generator call in whole-split passes
 
 
-def _generate(gen, vectors, rows=None, chunk=GENERATOR_CHUNK):
+def _generate(gen, vectors, rows=None):
     """Generator output for ``vectors[rows]`` (every row when ``rows`` is
-    None), computed ``chunk`` rows at a time so the temporaries stay small
-    and a split is never copied whole; rows do not depend on the chunking."""
+    None), computed ``GENERATOR_CHUNK`` rows at a time so the temporaries
+    stay small and a split is never copied whole; rows do not depend on the
+    chunking."""
     n = len(vectors) if rows is None else len(rows)
     out = np.empty((n, gen.weight.shape[1]))
-    for start in range(0, n, chunk):
-        part = slice(start, start + chunk)
+    for start in range(0, n, GENERATOR_CHUNK):
+        part = slice(start, start + GENERATOR_CHUNK)
         x = vectors[part] if rows is None else vectors[rows[part]]
         out[part], _ = nets.generator_forward(gen, x)
     return out
@@ -272,7 +263,7 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
         if lam > 0:
             d_f = d_f + d_f_deb
     moved = pool.submit(nets.adam_step, adam_cls, cls, cgrads)
-    ggrads, _ = nets.generator_backward(gen, gcache, d_f, input_grad=False, pool=split)
+    ggrads = nets.generator_backward(gen, gcache, d_f, pool=split)
     nets.adam_step(adam_gen, gen, ggrads)  # its error, if any, is raised first
     moved.result()
     return row
@@ -371,22 +362,16 @@ def train(dataset, config, stage_hook=None):
     run, updated in place.
     """
     config.validate()
-    if len(np.unique(dataset.identities)) < 2:
-        raise ValidationError("training needs at least 2 identities")
-    if len(np.unique(dataset.attributes)) < 2:
-        raise ValidationError("training needs both attribute values")
-
     train_idx, val_idx = split_by_identity(
         dataset, config.validation_fraction,
         np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,)),
     )
     class_ids, y_id_all = np.unique(dataset.identities[train_idx], return_inverse=True)
-    train_attrs = dataset.attributes[train_idx]
-    if len(class_ids) < 2 or len(np.unique(train_attrs)) < 2:
-        raise ValidationError("training split lost an identity or attribute class")
-
-    y_g_all = train_attrs.astype(np.int64)
-    val_attrs = dataset.attributes[val_idx].astype(np.int64)
+    y_g_all = dataset.attributes[train_idx]
+    if len(class_ids) < 2 or len(np.unique(y_g_all)) < 2:
+        raise ValidationError("training needs 2 or more identities and both attribute "
+                              "values outside the validation split")
+    val_attrs = dataset.attributes[val_idx]
 
     init_mc = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,))
     ss_gen, ss_cls = init_mc.spawn(2)
@@ -412,7 +397,7 @@ def train(dataset, config, stage_hook=None):
             stage_hook("start", episode, stage, gen, cls, ensemble)
         started = time.monotonic()
         ss = np.random.SeedSequence(config.seed, spawn_key=(NS_BATCHES, episode, stage))
-        yield balanced_batches(train_attrs, config.batch_size, ss)
+        yield balanced_batches(y_g_all, config.batch_size, ss)
         log.stage_seconds[stage] = log.stage_seconds.get(stage, 0.0) + time.monotonic() - started
         if stage_hook is not None:
             stage_hook("end", episode, stage, gen, cls, ensemble)

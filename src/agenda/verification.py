@@ -19,7 +19,6 @@ from .errors import DataFormatError, DimensionError, ValidationError
 from .probe import probe_eval, probe_train
 
 GROUP_NAMES = {0: "female", 1: "male"}
-DEFAULT_FPRS = (1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_IMPOSTOR_RATIO = 2.0
 # Pairs scored per step. The two gathered row blocks are
 # 2 x SCORE_CHUNK x dim float64s whatever the protocol size: 0.5 MiB at
@@ -239,7 +238,7 @@ def bias(tpr_m, tpr_f):
     return abs(tpr_m - tpr_f)
 
 
-def evaluate(dataset, protocol, fpr_targets=DEFAULT_FPRS):
+def evaluate(dataset, protocol, fpr_targets):
     """Score + sweep + bias in one call."""
     scores, zero_pairs = score_pairs(dataset, protocol)
     per_group, warns = tpr_at_fpr(scores, protocol, fpr_targets)

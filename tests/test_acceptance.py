@@ -82,7 +82,7 @@ def grads_l_class(gen, cls, x, y_id):
     f, gc = nets.generator_forward(gen, x)
     probs, cc = nets.classifier_forward(cls, f)
     cgrads, d_f = nets.classifier_backward(cls, cc, losses.l_class_grad(probs, y_id))
-    ggrads, _ = nets.generator_backward(gen, gc, d_f)
+    ggrads = nets.generator_backward(gen, gc, d_f)
     return [ggrads, cgrads]
 
 
@@ -95,7 +95,7 @@ def grads_l_g(gen, members, x, y_g):
         mg, d_f = nets.discriminator_backward(m, dc, losses.l_g_member_grad(out, y_g))
         member_grads.append(mg)
         d_f_total += d_f
-    ggrads, _ = nets.generator_backward(gen, gc, d_f_total)
+    ggrads = nets.generator_backward(gen, gc, d_f_total)
     return [ggrads] + member_grads
 
 
@@ -108,7 +108,7 @@ def grads_l_deb(gen, members, x, lam=1.0):
     mg, d_f = nets.discriminator_backward(
         members[kstar], dc_k, lam * losses.l_a_grad(out_k)
     )
-    ggrads, _ = nets.generator_backward(gen, gc, d_f)
+    ggrads = nets.generator_backward(gen, gc, d_f)
     return ggrads, mg, kstar
 
 
@@ -150,7 +150,7 @@ class TestCriterion1Gradients:
             f, gc = nets.generator_forward(gen, x)
             out0, dc0 = nets.discriminator_forward(members[0], f)
             mg0, d_f = nets.discriminator_backward(members[0], dc0, losses.l_a_grad(out0))
-            gg0, _ = nets.generator_backward(gen, gc, d_f)
+            gg0 = nets.generator_backward(gen, gc, d_f)
             worst = fd_check(loss_a, list(param_blocks([gg0, mg0])), [gen, members[0]])
             worst_overall = max(worst_overall, worst)
 
@@ -184,9 +184,9 @@ class TestCriterion1Gradients:
             gg_class, cgrads = grads_l_class(gen, cls, x, y_id)
             gg_deb, _, _ = grads_l_deb(gen, members, x, lam=lam)
             gg_br = nets.GeneratorParams(
-                gg_class.weight + gg_deb.weight,
-                gg_class.bias + gg_deb.bias,
-                gg_class.prelu_slope + gg_deb.prelu_slope,
+                weight=gg_class.weight + gg_deb.weight,
+                bias=gg_class.bias + gg_deb.bias,
+                prelu_slope=gg_class.prelu_slope + gg_deb.prelu_slope,
             )
             worst = fd_check(loss_br, list(param_blocks([gg_br, cgrads])), [gen, cls])
             worst_overall = max(worst_overall, worst)

@@ -63,6 +63,14 @@ class TestExitCodes:
                                "--out", tmp_path / "m.agnd")
         assert code == 4 and "seed must be >= 0" in err, err
 
+    def test_malformed_config_line_comes_before_an_unknown_key(self, tmp_path):
+        data, cfg = tmp_path / "c.fds", tmp_path / "t.cfg"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        cfg.write_text("bogus=1\njust a line\n")
+        code, _, err = run_cli("train", "--data", data, "--config", cfg,
+                               "--out", tmp_path / "m.agnd")
+        assert code == 3 and "kind=bad_key" in err, err
+
     def test_bad_dataset_magic_is_3(self, tmp_path):
         bad = tmp_path / "bad.fds"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
@@ -498,7 +506,7 @@ class TestManifests:
                          "--fpr", "0.05", "--report", str(report)]) == 0
         manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
         assert manifest["inputs"] == [str(data), str(cfg)]
-        base = trainer.TrainConfig.from_file(str(cfg)).to_kv()
+        base = dataio.read_config(cfg, trainer.TrainConfig).to_kv()
         assert {key: manifest["options"][key] for key, _ in base} == dict(base)
         header = report.read_text().splitlines()
         assert all("# %s=%s" % kv in header for kv in base)

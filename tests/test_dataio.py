@@ -211,23 +211,32 @@ class KvFields:
 class TestKvConfig:
     def test_parse_and_coerce(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("# comment\nalpha=0.5\nn=3   # trailing\n\nname_ok=1\n")
-        raw = dataio.read_kv_config(path)
-        assert raw == {"alpha": "0.5", "n": "3", "name_ok": "1"}
-        typed = dataio.coerce_kv(raw, KvFields)
-        assert typed == {"alpha": 0.5, "n": 3, "name_ok": 1}
+        path.write_text("# comment\nalpha=0.5\nn=3   # trailing\n\nname_ok=1\nn = 4\n")
+        # a repeated key takes its last value
+        assert dataio.read_config(path, KvFields) == KvFields(alpha=0.5, n=4, name_ok=1)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError):
-            dataio.coerce_kv({"bogus": "1"}, KvFields)
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("alpha=1\nbogus=1\n")
+        with pytest.raises(ValidationError, match="unknown config key 'bogus'"):
+            dataio.read_config(path, KvFields)
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_float_rejected(self, raw):
+    def test_non_finite_float_rejected(self, tmp_path, raw):
+        path = tmp_path / "c.cfg"
+        path.write_text("alpha=%s\n" % raw)
         with pytest.raises(ValidationError, match="not finite"):
-            dataio.coerce_kv({"alpha": raw}, KvFields)
+            dataio.read_config(path, KvFields)
+
+    def test_value_of_the_wrong_type_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("n=1.5\n")
+        with pytest.raises(ValidationError, match="config key 'n'"):
+            dataio.read_config(path, KvFields)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just a line\n")
-        with pytest.raises(DataFormatError):
-            dataio.read_kv_config(path)
+        with pytest.raises(DataFormatError) as err:
+            dataio.read_config(path, KvFields)
+        assert err.value.code == "bad_key"

@@ -200,14 +200,11 @@ class TestBackward:
             return float((out * w).sum())
 
         out, cache = nets.generator_forward(params, x)
-        grads, d_x = nets.generator_backward(params, cache, w)
-        fd_w, fd_b, fd_s, fd_x = finite_difference(
-            loss, [params.weight, params.bias, params.prelu_slope, x]
-        )
+        grads = nets.generator_backward(params, cache, w)
+        fd_w, fd_b, fd_s = finite_difference(loss, [params.weight, params.bias, params.prelu_slope])
         assert rel_err(grads.weight, fd_w) < 1e-6
         assert rel_err(grads.bias, fd_b) < 1e-6
         assert rel_err(grads.prelu_slope, fd_s) < 1e-6
-        assert rel_err(d_x, fd_x) < 1e-6
 
     def test_discriminator_gradients_match_fd(self):
         rng = np.random.default_rng(11)
@@ -246,9 +243,9 @@ class TestBackward:
         params = toy_generator(rng)
         x = rng.normal(size=(3, 5))
         _, cache = nets.generator_forward(params, x)
-        grads, d_x = nets.generator_backward(params, cache, np.zeros((3, 6)))
+        grads = nets.generator_backward(params, cache, np.zeros((3, 6)))
         assert np.all(grads.weight == 0) and np.all(grads.bias == 0)
-        assert np.all(grads.prelu_slope == 0) and np.all(d_x == 0)
+        assert np.all(grads.prelu_slope == 0)
 
     def test_backward_without_forward_raises(self):
         rng = np.random.default_rng(13)
@@ -367,10 +364,12 @@ class TestSplitProduct:
                 f, gcache = nets.generator_forward(gen, x, pool=pool)
                 probs, ccache = nets.classifier_forward(cls, f, pool=pool)
                 cgrads, d_f = nets.classifier_backward(cls, ccache, probs - 0.5, pool=pool)
-                ggrads, d_x = nets.generator_backward(gen, gcache, d_f, pool=pool)
-                results.append([v.tobytes() for v in (f, probs, cgrads.flat, d_f,
-                                                      ggrads.flat, d_x)])
-            assert pool.parts == [200, 200, 128, 200, 256, 200]
+                ggrads = nets.generator_backward(gen, gcache, d_f, pool=pool)
+                results.append([v.tobytes() for v in (f, probs, cgrads.flat, d_f, ggrads.flat)])
+            # stage 1's five products: the generator forward, the classifier
+            # forward, weight gradient and input gradient, the generator's
+            # weight gradient
+            assert pool.parts == [200, 200, 128, 200, 256]
         assert results[1] == results[0]
 
     def test_a_failed_part_raises_once_both_are_done(self):
@@ -411,12 +410,6 @@ class TestInitAndCheckpoint:
         limit = np.sqrt(6.0 / (16 + 256))
         assert np.abs(g1.weight).max() <= limit
         assert np.all(g1.bias == 0) and np.all(g1.prelu_slope == 0.25)
-
-    def test_init_accepts_a_generator_seed(self):
-        make = lambda: np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
-        assert np.array_equal(nets.init_generator(16, make()).weight,
-                              nets.init_generator(16, seed=4).weight)
-        assert nets.init_discriminator(make(), units=6, hidden=4).w1.shape == (6, 4)
 
     def test_checkpoint_round_trip(self, tmp_path):
         gen = nets.init_generator(8, seed=1)
@@ -508,11 +501,6 @@ class TestStackedEnsemble:
         assert none_in is None and none_params is None
         assert np.array_equal(only_params.flat, grads.flat)
         assert np.array_equal(only_in, d_f)
-        gen = toy_generator(rng)
-        _, gcache = nets.generator_forward(gen, rng.normal(size=(5, 5)))
-        g_all, _ = nets.generator_backward(gen, gcache, np.ones((5, 6)))
-        g_only, skipped = nets.generator_backward(gen, gcache, np.ones((5, 6)), input_grad=False)
-        assert skipped is None and np.array_equal(g_all.flat, g_only.flat)
 
     def test_stacked_gradients_match_fd(self):
         rng = np.random.default_rng(24)
@@ -533,8 +521,7 @@ class TestStackedEnsemble:
     def test_one_adam_step_equals_per_member_steps(self):
         rng = np.random.default_rng(25)
         ens = toy_ensemble(rng, k=3)
-        copies = [nets.DiscriminatorParams(*[a.copy() for _, a in nets.param_items(m)])
-                  for m in ens.members]
+        copies = [nets.DiscriminatorParams(**dict(nets.param_items(m))) for m in ens.members]
         state = nets.AdamState(lr=1e-2)
         states = [nets.AdamState(lr=1e-2) for _ in copies]
         for _ in range(4):

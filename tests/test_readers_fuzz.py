@@ -25,10 +25,16 @@ def _write_valid_files(tmp_path):
         "matrix": tmp_path / "w.tpe",
     }
     dataio.write_dataset(ds, paths["dataset"])
-    nets.save_checkpoint(
-        paths["checkpoint"], nets.init_generator(4, 0, units=4),
-        nets.init_classifier(2, 0, units=4), nets.init_ensemble(2, 0, units=4, hidden=3),
-    )
+    # A toy checkpoint: 4-d input, 4 units, 2 identities, 2 members of 3 hidden units.
+    rng = np.random.default_rng(0)
+    gen = nets.GeneratorParams(weight=rng.normal(size=(4, 4)), bias=np.zeros(4),
+                               prelu_slope=np.full(4, 0.25))
+    cls = nets.ClassifierParams(weight=rng.normal(size=(4, 2)), bias=np.zeros(2))
+    ensemble = nets.EnsembleParams([
+        nets.DiscriminatorParams(w1=rng.normal(size=(4, 3)), b1=np.zeros(3),
+                                 w2=rng.normal(size=(3, 2)), b2=np.zeros(2))
+        for _ in range(2)])
+    nets.save_checkpoint(paths["checkpoint"], gen, cls, ensemble)
     corrpca.save_subspace(corrpca.fit(ds, delta=0.9), paths["subspace"])
     w = np.arange(8, dtype=np.float64).reshape(4, 2)
     tpe.save_tpe(w, paths["matrix"])

@@ -97,7 +97,7 @@ class TestSpecFile:
             "sigma_id=0.5\nsigma_noise=0.2\nattribute_strength=0.3\n"
             "entanglement=0.1\nseed=42\n"
         )
-        spec = synthgen.SynthSpec.from_file(path)
+        spec = dataio.read_config(path, synthgen.SynthSpec)
         assert spec.n_identities == 12 and spec.seed == 42
         assert spec.entanglement == pytest.approx(0.1)
 
@@ -105,7 +105,7 @@ class TestSpecFile:
         path = tmp_path / "bad.cfg"
         path.write_text("wibble=3\n")
         with pytest.raises(ValidationError):
-            synthgen.SynthSpec.from_file(path)
+            dataio.read_config(path, synthgen.SynthSpec)
 
 
 class TestMetadata:

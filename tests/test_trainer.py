@@ -107,7 +107,7 @@ class TestConfig:
         path = tmp_path / "train.cfg"
         path.write_text("alpha3=inf\n")
         with pytest.raises(ValidationError, match="alpha3"):
-            trainer.TrainConfig.from_file(path)
+            dataio.read_config(path, trainer.TrainConfig)
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config(lam=2.5, k=3)
@@ -115,7 +115,7 @@ class TestConfig:
         path.write_text(
             "".join("%s=%s\n" % (k, v) for k, v in cfg.to_kv()) + "# comment\n"
         )
-        again = trainer.TrainConfig.from_file(path)
+        again = dataio.read_config(path, trainer.TrainConfig)
         assert again == cfg
 
 
@@ -217,7 +217,7 @@ class TestTrainLoop:
                 cgrads, d_f = nets.classifier_backward(
                     cls2, ccache, losses.l_class_grad(probs, y)
                 )
-                ggrads, _ = nets.generator_backward(gen2, gcache, d_f)
+                ggrads = nets.generator_backward(gen2, gcache, d_f)
                 nets.adam_step(adam_g, gen2, ggrads)
                 nets.adam_step(adam_c, cls2, cgrads)
         assert identical(snapshot(gen), gen2)
@@ -241,6 +241,21 @@ class TestTrainLoop:
             vectors=rng.normal(size=(20, 6)),
         )
         with pytest.raises(ValidationError):
+            trainer.train(ds, tiny_config())
+
+    @pytest.mark.parametrize("n_ids, message", [
+        (1, "need at least 2 identities"),
+        # the validation split takes one of the two identities
+        (2, "training needs 2 or more identities"),
+    ])
+    def test_rejects_a_corpus_without_two_training_identities(self, n_ids, message):
+        rng = np.random.default_rng(0)
+        ds = dataio.DescriptorDataset(
+            identities=np.repeat(np.arange(n_ids, dtype=np.uint64), 10),
+            attributes=np.tile([0, 1], 5 * n_ids).astype(np.uint8),
+            vectors=rng.normal(size=(10 * n_ids, 6)),
+        )
+        with pytest.raises(ValidationError, match=message):
             trainer.train(ds, tiny_config())
 
     def test_nonfinite_abort_has_context(self, monkeypatch):
@@ -440,17 +455,18 @@ class TestTransform:
 
 
 class TestFrozenGeneratorPass:
-    def test_gathered_rows_equal_a_per_batch_forward(self):
+    def test_gathered_rows_equal_a_per_batch_forward(self, monkeypatch):
         ds, _ = tiny_corpus(n_identities=30, samples=10)
         gen = nets.init_generator(ds.dim, seed=2)
-        full = trainer._generate(gen, ds.vectors, chunk=7)
+        monkeypatch.setattr(trainer, "GENERATOR_CHUNK", 7)
+        full = trainer._generate(gen, ds.vectors)
         rng = np.random.default_rng(0)
         for _ in range(5):
             idx = rng.integers(0, ds.n, 16)
             direct, _ = nets.generator_forward(gen, ds.vectors[idx])
             assert np.array_equal(full[idx], direct)
 
-    def test_gathered_rows_equal_a_pass_over_their_copy(self):
+    def test_gathered_rows_equal_a_pass_over_their_copy(self, monkeypatch):
         # the split passes gather each chunk's rows from the corpus; the
         # bytes are those of one pass over a copy of the split
         ds, _ = tiny_corpus(n_identities=110, samples=10, dim=64)
@@ -458,8 +474,9 @@ class TestFrozenGeneratorPass:
         rows = np.random.default_rng(1).permutation(ds.n)[: ds.n - 3]
         assert len(rows) > trainer.GENERATOR_CHUNK
         for chunk in (1, 7, trainer.GENERATOR_CHUNK, len(rows) + 1):
-            gathered = trainer._generate(gen, ds.vectors, rows, chunk=chunk)
-            copied = trainer._generate(gen, ds.vectors[rows], chunk=chunk)
+            monkeypatch.setattr(trainer, "GENERATOR_CHUNK", chunk)
+            gathered = trainer._generate(gen, ds.vectors, rows)
+            copied = trainer._generate(gen, ds.vectors[rows])
             assert gathered.tobytes() == copied.tobytes(), chunk
 
     def test_train_leaves_the_corpus_unchanged(self):
