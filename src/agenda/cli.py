@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 usage error, 3 unreadable/invalid file, 4
 violated invariant, numeric failure or a request for more memory than
 the machine can give. argparse reports usage errors, a missing mode, an
 option without its partner (``--apply`` without ``--subspace``) and an
-option of the other mode (``--spectrum`` without ``--fit``) among them;
-every other failure prints a single machine-parseable line to stderr.
+option the chosen mode ignores (``--spectrum`` without ``--fit``, ``--seed``
+where nothing is drawn) among them; every other failure prints a single
+machine-parseable line to stderr. A mode option left out is None until
+its subcommand resolves it; a run that draws nothing records seed None.
 
 ``sweep`` fits each variant on the identities outside its held-out
 ``--probe-fraction`` and reads the probe and TPR on the held-out ones.
@@ -24,9 +26,9 @@ thread count (a multi-threaded ``eigh`` moves low-order bits); every
 manifest records that count as ``blas_threads``. ``train`` (and every
 training run of ``sweep``) runs stage 2's member groups, stage 3's
 classifier and discriminator lanes and the two row parts of stage 1's
-large products on one worker thread per usable core, at most k; its
-outputs are the same bytes at any core count. The train manifest records
-the worker count and each stage's wall seconds (``stage_seconds``).
+large products on one worker thread per usable core, at most ``max(k, 2)``;
+its outputs are the same bytes at any core count. The train manifest
+records the worker count and each stage's wall seconds (``stage_seconds``).
 """
 
 import argparse
@@ -53,13 +55,12 @@ TPE_LOSS_NOTE = "tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), dot-pr
 SWEEP_NOTE = "protocol=fit on one identity side, probe and TPR read on the held-out probe_fraction"
 
 
-def _add_common(sub, *partners):
-    """--seed and --manifest; each of ``partners`` is ``(option, partner)``:
-    the option is a usage error without its partner."""
-    sub.add_argument("--seed", type=_seed, default=None,
-                     help="override the seed used by every stochastic component")
-    sub.add_argument("--manifest", default=None,
-                     help="manifest path (default: <primary output>.manifest.json)")
+def _add_common(sub, *partners, seeded=True):
+    """--manifest, and --seed if ``seeded``; each of ``partners`` is
+    ``(option, partner)``: the option is a usage error without its partner."""
+    if seeded:
+        sub.add_argument("--seed", type=_seed, help="override the seed of every random draw")
+    sub.add_argument("--manifest", help="manifest path (default: <primary output>.manifest.json)")
     sub.set_defaults(partners=partners, usage_error=sub.error)
 
 
@@ -148,30 +149,31 @@ def _cmd_transform(args):
 
 def _cmd_corrpca(args):
     if args.fit is not None:
-        subspace = corrpca.fit(read_dataset(args.fit), args.delta)
+        delta = corrpca.DEFAULT_DELTA if args.delta is None else args.delta
+        subspace = corrpca.fit(read_dataset(args.fit), delta)
         corrpca.save_subspace(subspace, args.out)
         outputs = [args.out]
         if args.spectrum:
             rows = [(idx, format_float(ev), format_float(corr))
                     for idx, ev, corr in corrpca.correlation_spectrum(subspace)]
-            comments = _comment_block(args, args.seed, [
-                ("delta", args.delta), ("retained", subspace.retained_count),
+            comments = _comment_block(args, None, [
+                ("delta", delta), ("retained", subspace.retained_count),
                 ("input_dim", subspace.input_dim)])
             write_csv_report(args.spectrum, comments,
                              ("index", "eigenvalue", "abs_spearman"), rows)
             outputs.append(args.spectrum)
-        return [("mode", "fit"), ("delta", args.delta)], [args.fit], outputs, args.seed
+        return [("mode", "fit"), ("delta", delta)], [args.fit], outputs, None
     subspace = corrpca.load_subspace(args.subspace)
     write_dataset(corrpca.project(subspace, read_dataset(args.apply)), args.out)
-    return [("mode", "apply")], [args.apply, args.subspace], [args.out], args.seed
+    return [("mode", "apply")], [args.apply, args.subspace], [args.out], None
 
 
 def _cmd_probe(args):
-    seed = args.seed if args.seed is not None else 0
     options = [("epochs", args.epochs), ("rate", args.rate), ("l2", args.l2),
                ("standardized", "per-dimension z-score from the training split")]
     if args.data is not None:
         dataset = read_dataset(args.data)
+        seed = 0 if args.seed is None else args.seed
         test_fraction = 0.3 if args.test_fraction is None else args.test_fraction
         fit_idx, eval_idx = split_by_identity(dataset, test_fraction, seed)
         train_set = dataset.subset(fit_idx)
@@ -180,6 +182,7 @@ def _cmd_probe(args):
         inputs = [args.data]
         options.append(("test_fraction", test_fraction))
     else:
+        seed = None  # this mode draws nothing
         train_set = read_dataset(args.train)
         test_set = read_dataset(args.test)
         inputs = [args.train, args.test]
@@ -198,7 +201,7 @@ def _cmd_probe(args):
 
 
 def _cmd_eval(args):
-    seed = args.seed if args.seed is not None else 0
+    seed = 0 if args.seed is None else args.seed
     fprs = _parse_list(args.fprs, "--fprs")
     verification.check_fpr_targets(fprs)
     dataset = read_dataset(args.data)
@@ -218,18 +221,19 @@ def _cmd_eval(args):
 
 
 def _cmd_tpe(args):
-    seed = args.seed if args.seed is not None else 0
     if args.train is not None:
-        w = tpe.tpe_train(read_dataset(args.train), args.repeats, args.iterations, args.rate,
-                          args.batch, seed)
+        seed = 0 if args.seed is None else args.seed
+        defaults = [("repeats", tpe.DEFAULT_REPEATS), ("iterations", tpe.DEFAULT_ITERATIONS),
+                    ("rate", tpe.DEFAULT_RATE), ("batch", tpe.DEFAULT_BATCH)]
+        options = [(name, default if getattr(args, name) is None else getattr(args, name))
+                   for name, default in defaults]
+        w = tpe.tpe_train(read_dataset(args.train), seed=seed, **dict(options))
         tpe.save_tpe(w, args.out)
-        options = [("repeats", args.repeats), ("iterations", args.iterations),
-                   ("rate", args.rate), ("batch", args.batch), ("note", TPE_LOSS_NOTE)]
-        return options, [args.train], [args.out], seed
+        return options + [("note", TPE_LOSS_NOTE)], [args.train], [args.out], seed
     w = tpe.load_tpe(args.matrix)
     write_dataset(tpe.tpe_apply(w, read_dataset(args.apply)), args.out)
     return ([("mode", "apply"), ("note", TPE_LOSS_NOTE)], [args.apply, args.matrix],
-            [args.out], seed)
+            [args.out], None)
 
 
 def _agenda_fit(config):
@@ -238,17 +242,18 @@ def _agenda_fit(config):
 
 
 def _cmd_sweep(args):
-    seed = args.seed if args.seed is not None else 0
+    seed = 0 if args.seed is None else args.seed
     base, config_input = _train_config(args)
     dataset = read_dataset(args.data)
     options = [("fpr", args.fpr), ("impostor_ratio", args.impostor_ratio),
                ("probe_fraction", args.probe_fraction), ("note", SWEEP_NOTE)]
     if args.compare:
+        delta = corrpca.DEFAULT_DELTA if args.delta is None else args.delta
         fits = [("original", lambda fit_set: lambda data: data),
                 ("corrpca", lambda fit_set: functools.partial(
-                    corrpca.project, corrpca.fit(fit_set, args.delta))),
+                    corrpca.project, corrpca.fit(fit_set, delta))),
                 ("agenda", _agenda_fit(base))]
-        options += [("mode", "compare"), ("delta", args.delta)]
+        options += [("mode", "compare"), ("delta", delta)]
     else:
         if args.lambdas is not None:
             values = _parse_list(args.lambdas, "--lambdas")
@@ -302,19 +307,21 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_transform)
 
     p = subs.add_parser("corrpca", help="fit or apply the eigenspace-removal baseline")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--fit", help="dataset to fit the subspace on")
     mode.add_argument("--apply", help="dataset to project with --subspace")
-    p.add_argument("--delta", type=_finite_float, default=corrpca.DEFAULT_DELTA,
-                   help="remove eigenvectors with |spearman| >= delta (default %(default)s)")
+    p.add_argument("--delta", type=_finite_float,
+                   help="remove eigenvectors with |spearman| >= delta (fit mode, default %s)"
+                        % corrpca.DEFAULT_DELTA)
     p.add_argument("--subspace", help="subspace file produced by --fit")
     p.add_argument("--out", required=True, help="subspace file (fit) or dataset (apply)")
     p.add_argument("--spectrum", help="also write the per-eigenvector correlation CSV (fit mode)")
-    _add_common(p, ("apply", "subspace"), ("spectrum", "fit"))
+    _add_common(p, ("apply", "subspace"), ("subspace", "apply"), ("spectrum", "fit"),
+                ("delta", "fit"), seeded=False)
     p.set_defaults(func=_cmd_corrpca)
 
     p = subs.add_parser("probe", help="attribute leakage probe (logistic regression)")
@@ -328,15 +335,17 @@ def build_parser():
     p.add_argument("--rate", type=_finite_float, default=probe.DEFAULT_RATE)
     p.add_argument("--l2", type=_finite_float, default=probe.DEFAULT_L2)
     p.add_argument("--report", required=True)
-    _add_common(p, ("train", "test"), ("test", "train"), ("test_fraction", "data"))
+    _add_common(p, ("train", "test"), ("test", "train"), ("test_fraction", "data"),
+                ("seed", "data"))
     p.set_defaults(func=_cmd_probe)
 
     p = subs.add_parser("eval", help="group-wise verification TPR@FPR and bias")
     p.add_argument("--data", required=True)
-    p.add_argument("--pairs", help="protocol CSV (index_a,index_b,genuine); generated if omitted")
-    p.add_argument("--impostor-ratio", type=_finite_float,
-                   default=verification.DEFAULT_IMPOSTOR_RATIO,
-                   help="impostor pairs per genuine pair when generating (default %(default)s)")
+    pairs = p.add_mutually_exclusive_group()
+    pairs.add_argument("--pairs", help="protocol CSV (index_a,index_b,genuine); else generated")
+    pairs.add_argument("--impostor-ratio", type=_finite_float,
+                       default=verification.DEFAULT_IMPOSTOR_RATIO,
+                       help="impostor pairs per genuine pair when generating (default %(default)s)")
     p.add_argument("--fprs", default="1e-6,1e-5,1e-4,1e-3",
                    help="comma-separated FPR targets (default %(default)s)")
     p.add_argument("--report", required=True)
@@ -349,11 +358,13 @@ def build_parser():
     mode.add_argument("--apply", help="dataset to project with --matrix")
     p.add_argument("--matrix", help="matrix file for --apply")
     p.add_argument("--out", required=True, help="matrix file (train) or dataset (apply)")
-    p.add_argument("--repeats", type=int, default=tpe.DEFAULT_REPEATS)
-    p.add_argument("--iterations", type=int, default=tpe.DEFAULT_ITERATIONS)
-    p.add_argument("--rate", type=_finite_float, default=tpe.DEFAULT_RATE)
-    p.add_argument("--batch", type=int, default=tpe.DEFAULT_BATCH)
-    _add_common(p, ("apply", "matrix"))
+    p.add_argument("--repeats", type=int, help="train mode, default %s" % tpe.DEFAULT_REPEATS)
+    p.add_argument("--iterations", type=int, help="train mode, default %s" % tpe.DEFAULT_ITERATIONS)
+    p.add_argument("--rate", type=_finite_float, help="train mode, default %s" % tpe.DEFAULT_RATE)
+    p.add_argument("--batch", type=int, help="train mode, default %s" % tpe.DEFAULT_BATCH)
+    _add_common(p, ("apply", "matrix"), ("matrix", "apply"), ("repeats", "train"),
+                ("iterations", "train"), ("rate", "train"), ("batch", "train"),
+                ("seed", "train"))
     p.set_defaults(func=_cmd_tpe)
 
     p = subs.add_parser("sweep", help="ablation grids over lam/k, or a three-way method comparison")
@@ -362,10 +373,11 @@ def build_parser():
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--lambdas", help="comma-separated debias weights to sweep")
     mode.add_argument("--ks", help="comma-separated ensemble sizes to sweep")
-    mode.add_argument("--compare", action="store_true",
+    # absent is None, not False: --compare is --delta's partner
+    mode.add_argument("--compare", action="store_true", default=None,
                       help="compare original vs corrpca vs agenda instead of a grid")
-    p.add_argument("--delta", type=_finite_float, default=corrpca.DEFAULT_DELTA,
-                   help="corrpca threshold in compare mode (default %(default)s)")
+    p.add_argument("--delta", type=_finite_float,
+                   help="corrpca threshold in compare mode (default %s)" % corrpca.DEFAULT_DELTA)
     p.add_argument("--fpr", type=_finite_float, default=1e-3,
                    help="operating FPR for the table (default %(default)s)")
     p.add_argument("--impostor-ratio", type=_finite_float,
@@ -373,19 +385,24 @@ def build_parser():
     p.add_argument("--probe-fraction", type=_finite_float, default=0.3,
                    help="held-out share of the records, fit on the rest (default %(default)s)")
     p.add_argument("--report", required=True)
-    _add_common(p)
+    _add_common(p, ("delta", "compare"))
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
+def parse_args(argv=None):
+    """The parsed arguments; a usage error exits 2 through argparse."""
+    args = build_parser().parse_args(argv)
+    for option, partner in args.partners:
+        if getattr(args, option) is not None and getattr(args, partner) is None:
+            args.usage_error("--%s needs --%s" % (option.replace("_", "-"), partner))
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for option, partner in args.partners:
-            if getattr(args, option) is not None and getattr(args, partner) is None:
-                args.usage_error("--%s needs --%s" % (option.replace("_", "-"), partner))
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.monotonic()

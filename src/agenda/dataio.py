@@ -75,9 +75,6 @@ class DescriptorDataset:
         return self.vectors.shape[1]
 
     def subset(self, indices):
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            indices = np.empty(0, dtype=np.int64)
         # Integer-array indexing already returns copies.
         return DescriptorDataset(
             self.identities[indices], self.attributes[indices], self.vectors[indices]
@@ -208,11 +205,7 @@ def read_dataset(path):
     vectors = records["vector"].astype(np.float64)
     if not np.all(np.isfinite(vectors)):
         raise DataFormatError("nonfinite", "dataset contains non-finite vector entries")
-    return DescriptorDataset(
-        records["identity"].astype(np.uint64),
-        records["attribute"].astype(np.uint8),
-        vectors,
-    )
+    return DescriptorDataset(records["identity"], records["attribute"], vectors)
 
 
 def split_by_identity(dataset, heldout_fraction, seed):

@@ -141,19 +141,12 @@ def init_classifier(n_identities, seed):
     )
 
 
-def init_discriminator(seed):
-    rng = _rng_of(seed)
-    return DiscriminatorParams(
-        w1=_glorot(rng, GENERATOR_UNITS, DISCRIMINATOR_HIDDEN),
-        b1=np.zeros(DISCRIMINATOR_HIDDEN),
-        w2=_glorot(rng, DISCRIMINATOR_HIDDEN, 2),
-        b2=np.zeros(2),
-    )
-
-
 def init_ensemble(k, seed):
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return EnsembleParams([init_discriminator(c) for c in ss.spawn(k)])
+    return EnsembleParams([
+        DiscriminatorParams(w1=_glorot(rng, GENERATOR_UNITS, DISCRIMINATOR_HIDDEN),
+                            b1=np.zeros(DISCRIMINATOR_HIDDEN),
+                            w2=_glorot(rng, DISCRIMINATOR_HIDDEN, 2), b2=np.zeros(2))
+        for rng in map(_rng_of, seed.spawn(k))])
 
 
 def _check_batch(x, expected_cols, who):
@@ -322,8 +315,6 @@ def discriminator_backward(params, cache, d_out, input_grad=True, param_grad=Tru
 
 def param_items(params):
     """(name, array) pairs for one parameter block, in declaration order."""
-    if not isinstance(params, _Params):
-        raise TypeError("unsupported parameter container %r" % type(params).__name__)
     return [(name, getattr(params, name)) for name in params.FIELDS]
 
 

@@ -74,21 +74,13 @@ def probe_train(dataset, epochs=DEFAULT_EPOCHS, rate=DEFAULT_RATE, l2=DEFAULT_L2
     return ProbeModel(weight=folded_w, bias=folded_b)
 
 
-def probe_predict(model, vectors):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.shape[1] != model.weight.shape[0]:
-        raise DimensionError(
-            "probe expects dim %d, got %d" % (model.weight.shape[0], vectors.shape[1])
-        )
-    return (vectors @ model.weight + model.bias > 0.0).astype(np.uint8)
-
-
 def probe_eval(model, dataset):
     """Accuracy at threshold 0.5 plus per-group misclassification rates."""
     if dataset.n == 0:
         raise ValidationError("probe evaluation needs a non-empty test set")
-    preds = probe_predict(model, dataset.vectors)
-    correct = preds == dataset.attributes
+    if dataset.dim != model.weight.shape[0]:
+        raise DimensionError("probe expects dim %d, got %d" % (model.weight.shape[0], dataset.dim))
+    correct = (dataset.vectors @ model.weight + model.bias > 0.0) == dataset.attributes
     females = dataset.attributes == 0
     males = ~females
 

@@ -89,16 +89,15 @@ def init_matrix(dataset, seed, decomp):
     return w
 
 
-def tpe_train_single(dataset, decomp, iterations=DEFAULT_ITERATIONS, rate=DEFAULT_RATE,
-                     batch=DEFAULT_BATCH, seed=0):
+def tpe_train_single(dataset, decomp, iterations, rate, batch, seed):
     """One SGD run from the PCA warm start ``decomp`` (``principal_axes(dataset)``);
-    fully determined by ``seed``. Raises :class:`NumericError` if it diverges.
+    fully determined by the ``SeedSequence`` ``seed``. Raises
+    :class:`NumericError` if it diverges.
     """
     if iterations < 0 or batch < 1 or not rate > 0:
         raise ValidationError("iterations >= 0, batch >= 1 and rate > 0 required")
     sampler = _TripletSampler(dataset)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ss_init, ss_triplets = ss.spawn(2)
+    ss_init, ss_triplets = seed.spawn(2)
     w = init_matrix(dataset, ss_init, decomp)
     rng = np.random.Generator(np.random.Philox(ss_triplets))
     x = dataset.vectors

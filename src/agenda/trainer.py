@@ -22,17 +22,18 @@ batches in matching stages. Adam state is fresh at each stage entry.
 Parallelism: work that reads nothing the other part writes runs on two or
 more threads, with the same arithmetic in the same order as on one, so the
 results do not depend on the thread count. Stage 2 splits the members into
-contiguous groups, each trained for all ``t_gtrain`` steps on its own
-thread and Adam state. In stage 3 the classifier lane (forward, loss,
-backward) runs beside the discriminator lane (stacked forward, the
-strongest member's input gradient), and the classifier's Adam step runs
-beside the generator's backward pass and Adam step. Stage 1 has one lane;
-the pool computes the second row part of each large generator and
-classifier product (``nets._product``), and the classifier's Adam step
+``min(k, workers)`` contiguous groups, each trained for all ``t_gtrain``
+steps on its own thread and Adam state. In stage 3 the classifier lane
+(forward, loss, backward) runs beside the discriminator lane (stacked
+forward, the strongest member's input gradient), and the classifier's Adam
+step runs beside the generator's backward pass and Adam step. Stage 1 has
+one lane; the pool computes the second row part of each large generator
+and classifier product (``nets._product``), and the classifier's Adam step
 as in stage 3. A cut depends on the product's shape only, never on the
 worker count. Only this thread submits work, and only lanes that never
-wait on the pool run on it. ``thread_plan`` picks the worker count; BLAS
-runs on one thread for the length of ``train`` (``linalg.blas_threads``).
+wait on the pool run on it. ``thread_plan`` gives one worker per usable
+core, at most ``max(k, 2)``; BLAS runs on one thread for the length of
+``train`` (``linalg.blas_threads``).
 
 Memory: the training and validation splits are index arrays into the one
 float64 corpus the caller holds. Batches gather their rows from it, and the
@@ -165,10 +166,10 @@ def balanced_batches(attributes, batch_size, seed):
     """Endless stream of index batches into ``attributes`` with equal
     counts per attribute value.
 
-    Each epoch reshuffles both attribute pools from a stream derived from
-    ``seed``; an epoch covers the larger pool once, and a pool exhausted
-    mid-epoch is refilled by sampling that attribute's records with
-    replacement.
+    Each epoch reshuffles both attribute pools from a stream spawned off
+    the ``SeedSequence`` ``seed``; an epoch covers the larger pool once,
+    and a pool exhausted mid-epoch is refilled by sampling that attribute's
+    records with replacement.
     """
     if batch_size < 2 or batch_size % 2 != 0:
         raise ValidationError("batch_size must be even and >= 2")
@@ -178,9 +179,8 @@ def balanced_batches(attributes, batch_size, seed):
         raise ValidationError("both attribute values must be present for balanced batches")
     half = batch_size // 2
     per_epoch = math.ceil(max(len(pool0), len(pool1)) / half)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     while True:
-        rng = np.random.Generator(np.random.Philox(ss.spawn(1)[0]))
+        rng = np.random.Generator(np.random.Philox(seed.spawn(1)[0]))
         shuffled1 = rng.permutation(pool1)
         shuffled0 = rng.permutation(pool0)
         for b in range(per_epoch):
@@ -310,14 +310,15 @@ def _stack_failure(failures):
 
 
 def thread_plan(k):
-    """Worker count for one training run: one per usable core, at most one
-    per ensemble member. Without a handle on numpy's BLAS thread count,
-    BLAS keeps the environment's count and training runs on one thread.
+    """Worker count for one training run: one per usable core, at most
+    ``max(k, 2)``, so k = 1 still gives stages 1 and 3 a second thread.
+    Without a handle on numpy's BLAS thread count, BLAS keeps the
+    environment's count and training runs on one thread.
     """
     if linalg.openblas_handle() is None:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(k, cores or 1)
+    return min(cores or 1, max(k, 2))
 
 
 class _Inline:
@@ -385,7 +386,7 @@ def train(dataset, config, stage_hook=None):
     ensemble = fresh_ensemble(0)
     workers = thread_plan(config.k)
     groups = [ensemble.member_slice(part[0], part[-1] + 1)  # larger groups first
-              for part in np.array_split(np.arange(config.k), workers)]
+              for part in np.array_split(np.arange(config.k), min(config.k, workers))]
     log = TrainLog(workers=workers)
     f_train = None  # generator output over the split while the generator is frozen
 

@@ -250,17 +250,6 @@ def evaluate(dataset, protocol, fpr_targets):
     return EvalReport(tuple(fpr_targets), per_group, biases, warns)
 
 
-def report_rows(report):
-    """CSV rows in the standard layout: fpr, tpr_m, tpr_f, bias."""
-    for i, target in enumerate(report.fpr_targets):
-        yield (
-            format_float(target),
-            format_float(report.per_group[1][i].tpr),
-            format_float(report.per_group[0][i].tpr),
-            format_float(report.bias[i]),
-        )
-
-
 def write_report_csv(report, path, comments=()):
     lines = list(comments)
     lines.append(THRESHOLD_RULE)
@@ -275,7 +264,10 @@ def write_report_csv(report, path, comments=()):
             )
     for warning in report.warnings:
         lines.append("warning: %s" % warning)
-    write_csv_report(path, lines, ("fpr", "tpr_m", "tpr_f", "bias"), report_rows(report))
+    rows = [(format_float(target), format_float(report.per_group[1][i].tpr),
+             format_float(report.per_group[0][i].tpr), format_float(report.bias[i]))
+            for i, target in enumerate(report.fpr_targets)]
+    write_csv_report(path, lines, ("fpr", "tpr_m", "tpr_f", "bias"), rows)
 
 
 def ablation_sweep(dataset, fits, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,

@@ -109,22 +109,70 @@ USAGE_CASES = [
 ]
 
 
+# An option the chosen mode ignores, and the error line that refuses it.
+# --seed is not declared where nothing is drawn (transform, both corrpca
+# modes), so the top-level parser refuses it; tpe --apply and probe
+# --train/--test declare it for their other mode.
+IGNORED_OPTION_CASES = [
+    (("corrpca", "--fit", "{a}", "--subspace", "{b}", "--out", "{out}"),
+     "agenda corrpca: error: --subspace needs --apply"),
+    (("corrpca", "--apply", "{a}", "--subspace", "{b}", "--out", "{out}", "--delta", "0.2"),
+     "agenda corrpca: error: --delta needs --fit"),
+    (("tpe", "--train", "{a}", "--matrix", "{b}", "--out", "{out}"),
+     "agenda tpe: error: --matrix needs --apply"),
+] + [
+    (("tpe", "--apply", "{a}", "--matrix", "{b}", "--out", "{out}", option, value),
+     "agenda tpe: error: %s needs --train" % option)
+    for option, value in (("--repeats", "2"), ("--iterations", "5"), ("--rate", "0.1"),
+                          ("--batch", "4"), ("--seed", "1"))
+] + [
+    (("probe", "--train", "{a}", "--test", "{b}", "--report", "{out}", "--seed", "1"),
+     "agenda probe: error: --seed needs --data"),
+    (("sweep", "--data", "{a}", "--lambdas", "1", "--delta", "0.2", "--report", "{out}"),
+     "agenda sweep: error: --delta needs --compare"),
+    (("sweep", "--data", "{a}", "--ks", "1", "--delta", "0.2", "--report", "{out}"),
+     "agenda sweep: error: --delta needs --compare"),
+    (("eval", "--data", "{a}", "--pairs", "{b}", "--impostor-ratio", "3", "--report", "{out}"),
+     "agenda eval: error: argument --impostor-ratio: not allowed with argument --pairs"),
+    (("transform", "--ckpt", "{a}", "--data", "{b}", "--out", "{out}", "--seed", "1"),
+     "agenda: error: unrecognized arguments: --seed 1"),
+    (("corrpca", "--fit", "{a}", "--out", "{out}", "--seed", "1"),
+     "agenda: error: unrecognized arguments: --seed 1"),
+    (("corrpca", "--apply", "{a}", "--subspace", "{b}", "--out", "{out}", "--seed", "1"),
+     "agenda: error: unrecognized arguments: --seed 1"),
+]
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
-    def test_exit_2_from_argparse_before_any_file(self, tmp_path, monkeypatch, capsys, argv):
+    @staticmethod
+    def usage_error(tmp_path, monkeypatch, capsys, argv, prog):
+        """The error line of ``argv``, which must exit 2 with the usage of
+        ``prog`` before any file is read."""
         def no_read(*args, **kwargs):
             raise AssertionError("a file was read")
 
-        for module, name in ((cli, "read_dataset"), (cli.corrpca, "load_subspace"),
-                             (tpe, "load_tpe")):
+        for module, name in ((cli, "read_dataset"), (cli, "load_checkpoint"),
+                             (cli.corrpca, "load_subspace"), (tpe, "load_tpe")):
             monkeypatch.setattr(module, name, no_read)
         paths = dict(a=tmp_path / "a.fds", b=tmp_path / "b.fds", out=tmp_path / "out")
         assert cli.main([arg.format(**paths) for arg in argv]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines[0].startswith("usage: agenda %s " % argv[0])
+        assert lines[0].startswith("usage: %s " % prog)
         assert [line for line in lines if "error:" in line] == [lines[-1]]
-        assert lines[-1].startswith("agenda %s: error: " % argv[0])
+        assert lines[-1].startswith("%s: error: " % prog)
         assert list(tmp_path.iterdir()) == []
+        return lines[-1]
+
+    @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+    def test_exit_2_from_argparse_before_any_file(self, tmp_path, monkeypatch, capsys, argv):
+        self.usage_error(tmp_path, monkeypatch, capsys, argv, "agenda " + argv[0])
+
+    @pytest.mark.parametrize("argv, error", IGNORED_OPTION_CASES,
+                             ids=[" ".join(argv) for argv, _ in IGNORED_OPTION_CASES])
+    def test_option_the_mode_ignores_is_exit_2(self, tmp_path, monkeypatch, capsys, argv,
+                                               error):
+        prog = error.split(": error: ")[0]
+        assert self.usage_error(tmp_path, monkeypatch, capsys, argv, prog) == error
 
 
 # Each float option, under every subcommand that has it, and the list options
@@ -394,8 +442,8 @@ class TestManifests:
         """Path, key set and values of the manifest of every subcommand."""
         p = {name: str(tmp_path / name) for name in (
             "s.cfg", "t.cfg", "c.fds", "m.agnd", "log.csv", "z.fds", "sub.cpca", "spec.csv",
-            "proj.fds", "probe.csv", "eval.csv", "w.tpe", "e.fds", "lam.csv", "ks.csv",
-            "cmp.csv", "z.json")}
+            "d.cpca", "proj.fds", "probe.csv", "tt.csv", "eval.csv", "w.tpe", "e.fds",
+            "lam.csv", "ks.csv", "cmp.csv", "z.json")}
         write_tiny_spec(tmp_path / "s.cfg", n_identities=24, samples_per_identity=8)
         write_tiny_train_cfg(tmp_path / "t.cfg", n_ep=1)
         train_options = dict(
@@ -426,29 +474,37 @@ class TestManifests:
               "--spectrum", p["spec.csv"]],
              p["sub.cpca"] + ".manifest.json", dict(mode="fit", delta=0.2),
              [p["c.fds"]], [p["sub.cpca"], p["spec.csv"]], None),
+            (["corrpca", "--fit", p["c.fds"], "--out", p["d.cpca"]],
+             p["d.cpca"] + ".manifest.json", dict(mode="fit", delta=0.1),
+             [p["c.fds"]], [p["d.cpca"]], None),
             (["corrpca", "--apply", p["c.fds"], "--subspace", p["sub.cpca"],
-              "--out", p["proj.fds"], "--seed", "4"],
+              "--out", p["proj.fds"]],
              p["proj.fds"] + ".manifest.json", dict(mode="apply"),
-             [p["c.fds"], p["sub.cpca"]], [p["proj.fds"]], 4),
+             [p["c.fds"], p["sub.cpca"]], [p["proj.fds"]], None),
             (["probe", "--data", p["c.fds"], "--report", p["probe.csv"]],
              p["probe.csv"] + ".manifest.json",
              dict(epochs=500, rate=0.1, l2=1e-4,
                   standardized="per-dimension z-score from the training split",
                   test_fraction=0.3),
              [p["c.fds"]], [p["probe.csv"]], 0),
+            (["probe", "--train", p["c.fds"], "--test", p["c.fds"],
+              "--report", p["tt.csv"]],
+             p["tt.csv"] + ".manifest.json",
+             dict(epochs=500, rate=0.1, l2=1e-4,
+                  standardized="per-dimension z-score from the training split"),
+             [p["c.fds"], p["c.fds"]], [p["tt.csv"]], None),
             (["eval", "--data", p["c.fds"], "--fprs", "0.01,0.1", "--report", p["eval.csv"],
               "--seed", "1"],
              p["eval.csv"] + ".manifest.json",
              dict(pairs="generated", impostor_ratio=2.0, fprs="0.01,0.1"),
              [p["c.fds"]], [p["eval.csv"]], 1),
-            (["tpe", "--train", p["c.fds"], "--out", p["w.tpe"], "--repeats", "2",
-              "--iterations", "5"],
+            (["tpe", "--train", p["c.fds"], "--out", p["w.tpe"], "--iterations", "5"],
              p["w.tpe"] + ".manifest.json",
-             dict(repeats=2, iterations=5, rate=2.5e-3, batch=32, note=tpe_note),
+             dict(repeats=10, iterations=5, rate=2.5e-3, batch=32, note=tpe_note),
              [p["c.fds"]], [p["w.tpe"]], 0),
             (["tpe", "--apply", p["c.fds"], "--matrix", p["w.tpe"], "--out", p["e.fds"]],
              p["e.fds"] + ".manifest.json", dict(mode="apply", note=tpe_note),
-             [p["c.fds"], p["w.tpe"]], [p["e.fds"]], 0),
+             [p["c.fds"], p["w.tpe"]], [p["e.fds"]], None),
             (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--lambdas", "0,1",
               "--fpr", "0.05", "--report", p["lam.csv"]],
              p["lam.csv"] + ".manifest.json",
@@ -488,6 +544,30 @@ class TestManifests:
                 assert sum(stage_seconds.values()) <= wall_time_s + 0.003
             assert manifest == dict(tool_version="0.1.0", subcommand=argv[0], options=options,
                                     inputs=inputs, outputs=outputs, seed=seed), argv
+            # a report's header names the seed, after the tool version and
+            # the subcommand, exactly when one was drawn
+            for output in outputs:
+                if output.endswith(".csv"):
+                    with open(output, encoding="utf-8") as handle:
+                        header = [line for line in handle if line.startswith("# ")]
+                    if seed is None:
+                        assert not any(line.startswith("# seed=") for line in header), output
+                    else:
+                        assert header[2] == "# seed=%d\n" % seed, output
+
+    def test_eval_pairs_records_its_seed(self, tmp_path):
+        data, pairs, report = tmp_path / "c.fds", tmp_path / "p.csv", tmp_path / "r.csv"
+        ds = tiny_corpus()[0]
+        dataio.write_dataset(ds, data)
+        protocol = verification.make_pairs(ds, 2.0, 0)
+        np.savetxt(pairs, np.column_stack([protocol.index_a, protocol.index_b, protocol.genuine]),
+                   fmt="%d", delimiter=",", header="index_a,index_b,genuine", comments="")
+        assert cli.main(["eval", "--data", str(data), "--pairs", str(pairs), "--fprs", "0.1",
+                         "--report", str(report), "--seed", "3"]) == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["seed"] == 3
+        assert manifest["options"] == dict(pairs=str(pairs), fprs="0.1")
+        assert "# seed=3" in report.read_text().splitlines()
 
     def test_probe_data_records_test_fraction(self, tmp_path):
         data, report = tmp_path / "c.fds", tmp_path / "r.csv"

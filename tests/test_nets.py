@@ -414,7 +414,7 @@ class TestInitAndCheckpoint:
     def test_checkpoint_round_trip(self, tmp_path):
         gen = nets.init_generator(8, seed=1)
         cls = nets.init_classifier(5, seed=2)
-        ens = nets.init_ensemble(3, seed=3)
+        ens = nets.init_ensemble(3, np.random.SeedSequence(3))
         path = tmp_path / "model.agnd"
         nets.save_checkpoint(path, gen, cls, ens)
         gen2, cls2, ens2 = nets.load_checkpoint(path)
@@ -427,7 +427,8 @@ class TestInitAndCheckpoint:
 
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "x.agnd"
-        nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0), nets.init_ensemble(1, 0))
+        nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0),
+                             nets.init_ensemble(1, np.random.SeedSequence(0)))
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -436,7 +437,8 @@ class TestInitAndCheckpoint:
 
     def test_checkpoint_truncated(self, tmp_path):
         path = tmp_path / "y.agnd"
-        nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0), nets.init_ensemble(1, 0))
+        nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0),
+                             nets.init_ensemble(1, np.random.SeedSequence(0)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataFormatError) as err:
             nets.load_checkpoint(path)
@@ -549,7 +551,7 @@ class TestCheckpointHeader:
     def test_huge_member_count_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "k.agnd"
         nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0),
-                             nets.init_ensemble(1, 0))
+                             nets.init_ensemble(1, np.random.SeedSequence(0)))
         blob = bytearray(path.read_bytes())
         blob[20:24] = (0xFFFFFFFF).to_bytes(4, "little")  # the k field
         path.write_bytes(bytes(blob))
@@ -560,7 +562,7 @@ class TestCheckpointHeader:
     def test_nonfinite_payload_rejected(self, tmp_path):
         path = tmp_path / "n.agnd"
         nets.save_checkpoint(path, nets.init_generator(4, 0), nets.init_classifier(2, 0),
-                             nets.init_ensemble(1, 0))
+                             nets.init_ensemble(1, np.random.SeedSequence(0)))
         blob = bytearray(path.read_bytes())
         blob[-8:] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(blob))
@@ -575,7 +577,8 @@ class TestCheckpointHeader:
             nets.load_checkpoint(path)
 
     def test_payload_is_the_concatenated_buffers(self, tmp_path):
-        gen, cls, ens = nets.init_generator(5, 1), nets.init_classifier(3, 2), nets.init_ensemble(2, 3)
+        gen, cls = nets.init_generator(5, 1), nets.init_classifier(3, 2)
+        ens = nets.init_ensemble(2, np.random.SeedSequence(3))
         path = tmp_path / "m.agnd"
         nets.save_checkpoint(path, gen, cls, ens)
         payload = np.frombuffer(path.read_bytes()[28:], dtype="<f8")

@@ -42,7 +42,8 @@ def test_tracer_times_each_fitted_map(tmp_path):
     ds = tiny_corpus()[0]
     dataio.write_dataset(ds, tmp_path / "c.fds")
     nets.save_checkpoint(tmp_path / "m.agnd", nets.init_generator(ds.dim, seed=0),
-                         nets.init_classifier(12, seed=1), nets.init_ensemble(2, seed=2))
+                         nets.init_classifier(12, seed=1),
+                         nets.init_ensemble(2, np.random.SeedSequence(2)))
     tpe.save_tpe(np.eye(ds.dim, tpe.EMBED_DIM), tmp_path / "w.tpe")
     assert cli.main(["corrpca", "--fit", str(tmp_path / "c.fds"),
                      "--out", str(tmp_path / "s.cpca")]) == 0
@@ -57,6 +58,22 @@ def test_tracer_times_each_fitted_map(tmp_path):
         assert proc.returncode == 0, proc.stderr
         spans = json.loads((tmp_path / "table.json").read_text())["spans"]
         assert spans[span][0] == 1, sorted(spans)
+
+
+def test_every_benchmark_argv_parses():
+    # Parsing only: no step runs. A CLI change that refused an option the
+    # benchmark passes (eval --pairs with --seed, say) fails here.
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    seed = 5
+    for workload in workloads.WORKLOADS.values():
+        argvs = [workloads.synth_argv(workload, seed)] + [
+            argv for _, argv in workload.steps(seed)]
+        for argv in argvs:
+            assert cli.parse_args(argv).subcommand == argv[0], (workload.name, argv)
 
 
 def test_perfbench_selftest_passes():

@@ -28,8 +28,8 @@ class TestTraining:
         avg = tpe.tpe_train(ds, repeats=3, iterations=5, seed=11)
         axes = tpe.principal_axes(ds)
         singles = [
-            tpe.tpe_train_single(ds, axes, iterations=5,
-                                 seed=np.random.SeedSequence(11, spawn_key=(r,)))
+            tpe.tpe_train_single(ds, axes, 5, tpe.DEFAULT_RATE, tpe.DEFAULT_BATCH,
+                                 np.random.SeedSequence(11, spawn_key=(r,)))
             for r in range(3)
         ]
         assert np.array_equal(avg, sum(singles) / 3)
@@ -38,8 +38,8 @@ class TestTraining:
         ds, _ = tiny_corpus()
         axes = tpe.principal_axes(ds)
         singles = [
-            tpe.tpe_train_single(ds, axes, iterations=3,
-                                 seed=np.random.SeedSequence(5, spawn_key=(r,)))
+            tpe.tpe_train_single(ds, axes, 3, tpe.DEFAULT_RATE, tpe.DEFAULT_BATCH,
+                                 np.random.SeedSequence(5, spawn_key=(r,)))
             for r in range(3)
         ]
         real, calls = tpe.eigh, []
@@ -77,7 +77,8 @@ class TestTraining:
         ia, ip, in_ = sampler.sample(400, rng)
         a, p, n = ds.vectors[ia], ds.vectors[ip], ds.vectors[in_]
         w0 = tpe.init_matrix(ds, 0, tpe.principal_axes(ds))
-        w1 = tpe.tpe_train_single(ds, tpe.principal_axes(ds), iterations=800, seed=0)
+        w1 = tpe.tpe_train_single(ds, tpe.principal_axes(ds), 800, tpe.DEFAULT_RATE,
+                                  tpe.DEFAULT_BATCH, np.random.SeedSequence(0))
         assert triplet_loss(w1, a, p, n) < triplet_loss(w0, a, p, n)
 
     def test_no_multi_sample_identity_rejected(self):
@@ -88,7 +89,8 @@ class TestTraining:
             rng.normal(size=(6, 5)),
         )
         with pytest.raises(ValidationError):
-            tpe.tpe_train_single(ds, tpe.principal_axes(ds), iterations=1)
+            tpe.tpe_train_single(ds, tpe.principal_axes(ds), 1, tpe.DEFAULT_RATE,
+                                 tpe.DEFAULT_BATCH, np.random.SeedSequence(0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_error(self):
@@ -101,7 +103,8 @@ class TestTraining:
         with pytest.raises(ValidationError):
             tpe.tpe_train(ds, repeats=0)
         with pytest.raises(ValidationError):
-            tpe.tpe_train_single(ds, tpe.principal_axes(ds), iterations=-1)
+            tpe.tpe_train_single(ds, tpe.principal_axes(ds), -1, tpe.DEFAULT_RATE,
+                                 tpe.DEFAULT_BATCH, np.random.SeedSequence(0))
 
 
 class TestApply:

@@ -31,7 +31,7 @@ class TestBalancedBatches:
 
     def test_exact_balance(self):
         ds = self.make(10, 10)
-        stream = trainer.balanced_batches(ds.attributes, 4, 0)
+        stream = trainer.balanced_batches(ds.attributes, 4, np.random.SeedSequence(0))
         batches = [next(stream) for _ in range(5)]
         seen = np.concatenate(batches)
         for b in batches:
@@ -42,7 +42,7 @@ class TestBalancedBatches:
 
     def test_minority_resampled(self):
         ds = self.make(100, 10)
-        stream = trainer.balanced_batches(ds.attributes, 20, 0)
+        stream = trainer.balanced_batches(ds.attributes, 20, np.random.SeedSequence(0))
         batches = [next(stream) for _ in range(10)]
         female_draws = []
         male_draws = []
@@ -57,28 +57,32 @@ class TestBalancedBatches:
 
     def test_deterministic_replay(self):
         ds = self.make(9, 7)
-        a = [next(trainer.balanced_batches(ds.attributes, 4, 5)) for _ in range(12)]
-        b_stream = trainer.balanced_batches(ds.attributes, 4, 5)
+
+        def stream():
+            return trainer.balanced_batches(ds.attributes, 4, np.random.SeedSequence(5))
+
+        a = [next(stream()) for _ in range(12)]
+        b_stream = stream()
         b = [next(b_stream) for _ in range(12)]
         for x, y in zip(a[:1], b[:1]):
             assert np.array_equal(x, y)
         # same seed, one shared stream: full sequence matches a fresh stream
-        c = [next(trainer.balanced_batches(ds.attributes, 4, 5)) for _ in range(1)]
+        c = [next(stream()) for _ in range(1)]
         assert np.array_equal(a[0], c[0])
-        stream1 = trainer.balanced_batches(ds.attributes, 4, 5)
-        stream2 = trainer.balanced_batches(ds.attributes, 4, 5)
+        stream1 = stream()
+        stream2 = stream()
         for _ in range(12):
             assert np.array_equal(next(stream1), next(stream2))
 
     def test_single_class_rejected(self):
         ds = self.make(5, 0)
         with pytest.raises(ValidationError):
-            next(trainer.balanced_batches(ds.attributes, 4, 0))
+            next(trainer.balanced_batches(ds.attributes, 4, np.random.SeedSequence(0)))
 
     def test_odd_batch_rejected(self):
         ds = self.make(4, 4)
         with pytest.raises(ValidationError):
-            next(trainer.balanced_batches(ds.attributes, 3, 0))
+            next(trainer.balanced_batches(ds.attributes, 3, np.random.SeedSequence(0)))
 
 
 class TestConfig:
@@ -299,6 +303,27 @@ class TestWorkerCounts:
             sys.setswitchinterval(interval)
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
+
+    def test_one_member_on_two_workers(self, monkeypatch):
+        # k = 1 gets a second worker for stages 1 and 3; stage 2 then runs
+        # one group, not an empty one
+        ds, _ = tiny_corpus()
+        cfg = tiny_config(k=1, n_ep=3)
+        runs = []
+        for workers in (1, 2):
+            gen, cls, ensemble, log = _train_on(monkeypatch, workers, ds, cfg)
+            assert log.workers == workers
+            runs.append(([p.flat.tobytes() for p in (gen, cls, ensemble)], list(log.rows())))
+        assert runs[1] == runs[0]
+
+    def test_plan_is_one_per_core_and_at_most_k_or_two(self, monkeypatch):
+        monkeypatch.setattr(trainer.linalg, "openblas_handle", lambda: (None, None))
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [trainer.thread_plan(k) for k in (1, 2, 3, 5)] == [2, 2, 3, 4]
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0})
+        assert [trainer.thread_plan(k) for k in (1, 5)] == [1, 1]
+        monkeypatch.setattr(trainer.linalg, "openblas_handle", lambda: None)
+        assert trainer.thread_plan(5) == 1
 
     def test_same_bytes_where_stage_1_splits(self, monkeypatch):
         # The paper's 512-d at batch 400, with 85 training identities: all
