@@ -14,10 +14,11 @@ the machine can give. argparse reports usage errors, a missing mode, an
 option without its partner (``--apply`` without ``--subspace``) and an
 option the chosen mode ignores (``--spectrum`` without ``--fit``, ``--seed``
 where nothing is drawn) among them; every other failure prints a single
-machine-parseable line to stderr. A mode option left out is None until
-its subcommand resolves it; a run that draws nothing records seed None.
+machine-parseable line to stderr. A mode option left out takes its default
+in the mode that reads it and stays None in the other (``parse_args``).
 
-``sweep`` fits each variant on the identities outside its held-out
+``sweep`` draws its split, its pairs and every grid point from its base
+config's seed. It fits each variant on the identities outside its held-out
 ``--probe-fraction`` and reads the probe and TPR on the held-out ones.
 
 Every subcommand runs numpy's BLAS on one thread whatever
@@ -53,11 +54,13 @@ from .nets import load_checkpoint, save_checkpoint
 
 TPE_LOSS_NOTE = "tpe_loss=triplet_probability(-log sigmoid(s_ap - s_an)), dot-product scores"
 SWEEP_NOTE = "protocol=fit on one identity side, probe and TPR read on the held-out probe_fraction"
+TEST_FRACTION = 0.3  # probe --data
 
 
 def _add_common(sub, *partners, seeded=True):
-    """--manifest, and --seed if ``seeded``; each of ``partners`` is
-    ``(option, partner)``: the option is a usage error without its partner."""
+    """--manifest, and --seed if ``seeded``. Each of ``partners`` is
+    ``(option, partner[, default])``: the option is a usage error without
+    its partner, and ``parse_args`` gives it ``default`` with the partner."""
     if seeded:
         sub.add_argument("--seed", type=_seed, help="override the seed of every random draw")
     sub.add_argument("--manifest", help="manifest path (default: <primary output>.manifest.json)")
@@ -109,28 +112,26 @@ def _write_manifest(args, started, blas_threads, options, inputs, outputs, seed,
         wall_time_s=round(time.monotonic() - started, 3)))
 
 
-def _cmd_synth(args):
-    spec = read_config(args.spec, synthgen.SynthSpec) if args.spec else synthgen.SynthSpec()
+def _settings(args, path, cls):
+    """The ``cls`` of the key=value file ``path`` (defaults without it)
+    under --seed, and the inputs the file adds."""
+    settings = read_config(path, cls) if path else cls()
     if args.seed is not None:
-        spec.seed = args.seed
+        settings.seed = args.seed
+    return settings, [path] if path else []
+
+
+def _cmd_synth(args):
+    spec, spec_input = _settings(args, args.spec, synthgen.SynthSpec)
     dataset, metadata = synthgen.generate(spec)
     write_dataset(dataset, args.out)
     meta_path = args.meta or (args.out + ".meta.json")
     write_json(meta_path, metadata)
-    return (sorted(metadata["spec"].items()), [args.spec] if args.spec else [],
-            [args.out, meta_path], spec.seed)
-
-
-def _train_config(args):
-    """The TrainConfig of --config (defaults without it) under --seed, and its inputs."""
-    config = read_config(args.config, trainer.TrainConfig) if args.config else trainer.TrainConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    return config, [args.config] if args.config else []
+    return sorted(metadata["spec"].items()), spec_input, [args.out, meta_path], spec.seed
 
 
 def _cmd_train(args):
-    config, config_input = _train_config(args)
+    config, config_input = _settings(args, args.config, trainer.TrainConfig)
     dataset = read_dataset(args.data)
     gen, cls, ensemble, log = trainer.train(dataset, config)
     save_checkpoint(args.out, gen, cls, ensemble)
@@ -149,20 +150,19 @@ def _cmd_transform(args):
 
 def _cmd_corrpca(args):
     if args.fit is not None:
-        delta = corrpca.DEFAULT_DELTA if args.delta is None else args.delta
-        subspace = corrpca.fit(read_dataset(args.fit), delta)
+        subspace = corrpca.fit(read_dataset(args.fit), args.delta)
         corrpca.save_subspace(subspace, args.out)
         outputs = [args.out]
         if args.spectrum:
             rows = [(idx, format_float(ev), format_float(corr))
                     for idx, ev, corr in corrpca.correlation_spectrum(subspace)]
             comments = _comment_block(args, None, [
-                ("delta", delta), ("retained", subspace.retained_count),
+                ("delta", args.delta), ("retained", subspace.retained_count),
                 ("input_dim", subspace.input_dim)])
             write_csv_report(args.spectrum, comments,
                              ("index", "eigenvalue", "abs_spearman"), rows)
             outputs.append(args.spectrum)
-        return [("mode", "fit"), ("delta", delta)], [args.fit], outputs, None
+        return [("mode", "fit"), ("delta", args.delta)], [args.fit], outputs, None
     subspace = corrpca.load_subspace(args.subspace)
     write_dataset(corrpca.project(subspace, read_dataset(args.apply)), args.out)
     return [("mode", "apply")], [args.apply, args.subspace], [args.out], None
@@ -173,16 +173,12 @@ def _cmd_probe(args):
                ("standardized", "per-dimension z-score from the training split")]
     if args.data is not None:
         dataset = read_dataset(args.data)
-        seed = 0 if args.seed is None else args.seed
-        test_fraction = 0.3 if args.test_fraction is None else args.test_fraction
-        fit_idx, eval_idx = split_by_identity(dataset, test_fraction, seed)
-        train_set = dataset.subset(fit_idx)
-        test_set = dataset.subset(eval_idx)
+        train_set, test_set = map(dataset.subset,
+                                  split_by_identity(dataset, args.test_fraction, args.seed))
         del dataset  # the splits are all the probe reads
         inputs = [args.data]
-        options.append(("test_fraction", test_fraction))
+        options.append(("test_fraction", args.test_fraction))
     else:
-        seed = None  # this mode draws nothing
         train_set = read_dataset(args.train)
         test_set = read_dataset(args.test)
         inputs = [args.train, args.test]
@@ -195,13 +191,12 @@ def _cmd_probe(args):
         ("train_size", train_set.n),
         ("test_size", report.test_size),
     ]
-    write_csv_report(args.report, _comment_block(args, seed, options),
+    write_csv_report(args.report, _comment_block(args, args.seed, options),
                      ("metric", "value"), rows)
-    return options, inputs, [args.report], seed
+    return options, inputs, [args.report], args.seed
 
 
 def _cmd_eval(args):
-    seed = 0 if args.seed is None else args.seed
     fprs = _parse_list(args.fprs, "--fprs")
     verification.check_fpr_targets(fprs)
     dataset = read_dataset(args.data)
@@ -210,26 +205,23 @@ def _cmd_eval(args):
         pair_source = [("pairs", args.pairs)]
         inputs = [args.data, args.pairs]
     else:
-        protocol = verification.make_pairs(dataset, args.impostor_ratio, seed)
+        protocol = verification.make_pairs(dataset, args.impostor_ratio, args.seed)
         pair_source = [("pairs", "generated"), ("impostor_ratio", args.impostor_ratio)]
         inputs = [args.data]
     report = verification.evaluate(dataset, protocol, fprs)
     for warning in report.warnings:
         print("warning: %s" % warning, file=sys.stderr)
-    verification.write_report_csv(report, args.report, _comment_block(args, seed, pair_source))
-    return pair_source + [("fprs", args.fprs)], inputs, [args.report], seed
+    verification.write_report_csv(report, args.report, _comment_block(args, args.seed, pair_source))
+    return pair_source + [("fprs", args.fprs)], inputs, [args.report], args.seed
 
 
 def _cmd_tpe(args):
     if args.train is not None:
-        seed = 0 if args.seed is None else args.seed
-        defaults = [("repeats", tpe.DEFAULT_REPEATS), ("iterations", tpe.DEFAULT_ITERATIONS),
-                    ("rate", tpe.DEFAULT_RATE), ("batch", tpe.DEFAULT_BATCH)]
-        options = [(name, default if getattr(args, name) is None else getattr(args, name))
-                   for name, default in defaults]
-        w = tpe.tpe_train(read_dataset(args.train), seed=seed, **dict(options))
+        options = [(name, getattr(args, name))
+                   for name in ("repeats", "iterations", "rate", "batch")]
+        w = tpe.tpe_train(read_dataset(args.train), seed=args.seed, **dict(options))
         tpe.save_tpe(w, args.out)
-        return options + [("note", TPE_LOSS_NOTE)], [args.train], [args.out], seed
+        return options + [("note", TPE_LOSS_NOTE)], [args.train], [args.out], args.seed
     w = tpe.load_tpe(args.matrix)
     write_dataset(tpe.tpe_apply(w, read_dataset(args.apply)), args.out)
     return ([("mode", "apply"), ("note", TPE_LOSS_NOTE)], [args.apply, args.matrix],
@@ -242,18 +234,16 @@ def _agenda_fit(config):
 
 
 def _cmd_sweep(args):
-    seed = 0 if args.seed is None else args.seed
-    base, config_input = _train_config(args)
+    base, config_input = _settings(args, args.config, trainer.TrainConfig)
     dataset = read_dataset(args.data)
     options = [("fpr", args.fpr), ("impostor_ratio", args.impostor_ratio),
                ("probe_fraction", args.probe_fraction), ("note", SWEEP_NOTE)]
     if args.compare:
-        delta = corrpca.DEFAULT_DELTA if args.delta is None else args.delta
         fits = [("original", lambda fit_set: lambda data: data),
                 ("corrpca", lambda fit_set: functools.partial(
-                    corrpca.project, corrpca.fit(fit_set, delta))),
+                    corrpca.project, corrpca.fit(fit_set, args.delta))),
                 ("agenda", _agenda_fit(base))]
-        options += [("mode", "compare"), ("delta", delta)]
+        options += [("mode", "compare"), ("delta", args.delta)]
     else:
         if args.lambdas is not None:
             values = _parse_list(args.lambdas, "--lambdas")
@@ -266,13 +256,13 @@ def _cmd_sweep(args):
         for _, config in configs:  # fail before the first grid point trains
             config.validate()
         fits = [(label, _agenda_fit(config)) for label, config in configs]
-    table = verification.ablation_sweep(dataset, fits, args.fpr, args.impostor_ratio, seed,
-                                        args.probe_fraction)
+    table = verification.ablation_sweep(dataset, fits, args.fpr, args.impostor_ratio,
+                                        base.seed, args.probe_fraction)
     options += base.to_kv()
-    write_csv_report(args.report, _comment_block(args, seed, options),
+    write_csv_report(args.report, _comment_block(args, base.seed, options),
                      ("param", "tpr_m", "tpr_f", "bias", "probe_accuracy_pct"),
                      [(label, *map(format_float, values)) for label, *values in table])
-    return options, [args.data] + config_input, [args.report], seed
+    return options, [args.data] + config_input, [args.report], base.seed
 
 
 def build_parser():
@@ -321,7 +311,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="subspace file (fit) or dataset (apply)")
     p.add_argument("--spectrum", help="also write the per-eigenvector correlation CSV (fit mode)")
     _add_common(p, ("apply", "subspace"), ("subspace", "apply"), ("spectrum", "fit"),
-                ("delta", "fit"), seeded=False)
+                ("delta", "fit", corrpca.DEFAULT_DELTA), seeded=False)
     p.set_defaults(func=_cmd_corrpca)
 
     p = subs.add_parser("probe", help="attribute leakage probe (logistic regression)")
@@ -330,13 +320,13 @@ def build_parser():
     mode.add_argument("--train", help="training dataset (identity-disjoint from --test)")
     p.add_argument("--test", help="evaluation dataset")
     p.add_argument("--test-fraction", type=_finite_float,
-                   help="heldout fraction for --data mode (default 0.3)")
+                   help="heldout fraction for --data mode (default %s)" % TEST_FRACTION)
     p.add_argument("--epochs", type=int, default=probe.DEFAULT_EPOCHS)
     p.add_argument("--rate", type=_finite_float, default=probe.DEFAULT_RATE)
     p.add_argument("--l2", type=_finite_float, default=probe.DEFAULT_L2)
     p.add_argument("--report", required=True)
-    _add_common(p, ("train", "test"), ("test", "train"), ("test_fraction", "data"),
-                ("seed", "data"))
+    _add_common(p, ("train", "test"), ("test", "train"),
+                ("test_fraction", "data", TEST_FRACTION), ("seed", "data", 0))
     p.set_defaults(func=_cmd_probe)
 
     p = subs.add_parser("eval", help="group-wise verification TPR@FPR and bias")
@@ -350,7 +340,7 @@ def build_parser():
                    help="comma-separated FPR targets (default %(default)s)")
     p.add_argument("--report", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, seed=0)
 
     p = subs.add_parser("tpe", help="train or apply the triplet-probability embedding")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -362,9 +352,11 @@ def build_parser():
     p.add_argument("--iterations", type=int, help="train mode, default %s" % tpe.DEFAULT_ITERATIONS)
     p.add_argument("--rate", type=_finite_float, help="train mode, default %s" % tpe.DEFAULT_RATE)
     p.add_argument("--batch", type=int, help="train mode, default %s" % tpe.DEFAULT_BATCH)
-    _add_common(p, ("apply", "matrix"), ("matrix", "apply"), ("repeats", "train"),
-                ("iterations", "train"), ("rate", "train"), ("batch", "train"),
-                ("seed", "train"))
+    _add_common(p, ("apply", "matrix"), ("matrix", "apply"),
+                ("repeats", "train", tpe.DEFAULT_REPEATS),
+                ("iterations", "train", tpe.DEFAULT_ITERATIONS),
+                ("rate", "train", tpe.DEFAULT_RATE), ("batch", "train", tpe.DEFAULT_BATCH),
+                ("seed", "train", 0))
     p.set_defaults(func=_cmd_tpe)
 
     p = subs.add_parser("sweep", help="ablation grids over lam/k, or a three-way method comparison")
@@ -385,18 +377,22 @@ def build_parser():
     p.add_argument("--probe-fraction", type=_finite_float, default=0.3,
                    help="held-out share of the records, fit on the rest (default %(default)s)")
     p.add_argument("--report", required=True)
-    _add_common(p, ("delta", "compare"))
+    _add_common(p, ("delta", "compare", corrpca.DEFAULT_DELTA))
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def parse_args(argv=None):
-    """The parsed arguments; a usage error exits 2 through argparse."""
+    """The parsed arguments, each mode option at its value or default; a
+    usage error exits 2 through argparse."""
     args = build_parser().parse_args(argv)
-    for option, partner in args.partners:
-        if getattr(args, option) is not None and getattr(args, partner) is None:
-            args.usage_error("--%s needs --%s" % (option.replace("_", "-"), partner))
+    for option, partner, *default in args.partners:
+        if getattr(args, partner) is None:
+            if getattr(args, option) is not None:
+                args.usage_error("--%s needs --%s" % (option.replace("_", "-"), partner))
+        elif default and getattr(args, option) is None:
+            setattr(args, option, default[0])
     return args
 
 

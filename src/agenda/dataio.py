@@ -208,6 +208,11 @@ def read_dataset(path):
     return DescriptorDataset(records["identity"], records["attribute"], vectors)
 
 
+def rng(seed):
+    """The Philox stream of ``seed``, an int or a ``SeedSequence``."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def split_by_identity(dataset, heldout_fraction, seed):
     """Split record indices into (main, heldout) with disjoint identities.
 
@@ -217,11 +222,10 @@ def split_by_identity(dataset, heldout_fraction, seed):
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise ValidationError("heldout_fraction must be in (0, 1)")
-    rng = np.random.Generator(np.random.Philox(seed))
     ids, counts = np.unique(dataset.identities, return_counts=True)
     if len(ids) < 2:
         raise ValidationError("need at least 2 identities to split")
-    order = rng.permutation(len(ids))
+    order = rng(seed).permutation(len(ids))
     taken = np.searchsorted(np.cumsum(counts[order]), heldout_fraction * dataset.n) + 1
     if taken >= len(ids):
         raise ValidationError("heldout fraction leaves no identities for the main split")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_binary, refuse_zero_sizes, write_binary
+from .dataio import read_binary, refuse_zero_sizes, rng, write_binary
 from .errors import DimensionError, NumericError, StateError
 
 GENERATOR_UNITS = 256
@@ -122,13 +122,9 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _rng_of(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def init_generator(in_dim, seed):
     return GeneratorParams(
-        weight=_glorot(_rng_of(seed), in_dim, GENERATOR_UNITS),
+        weight=_glorot(rng(seed), in_dim, GENERATOR_UNITS),
         bias=np.zeros(GENERATOR_UNITS),
         prelu_slope=np.full(GENERATOR_UNITS, PRELU_INIT_SLOPE),
     )
@@ -136,17 +132,17 @@ def init_generator(in_dim, seed):
 
 def init_classifier(n_identities, seed):
     return ClassifierParams(
-        weight=_glorot(_rng_of(seed), GENERATOR_UNITS, n_identities),
+        weight=_glorot(rng(seed), GENERATOR_UNITS, n_identities),
         bias=np.zeros(n_identities),
     )
 
 
 def init_ensemble(k, seed):
     return EnsembleParams([
-        DiscriminatorParams(w1=_glorot(rng, GENERATOR_UNITS, DISCRIMINATOR_HIDDEN),
+        DiscriminatorParams(w1=_glorot(stream, GENERATOR_UNITS, DISCRIMINATOR_HIDDEN),
                             b1=np.zeros(DISCRIMINATOR_HIDDEN),
-                            w2=_glorot(rng, DISCRIMINATOR_HIDDEN, 2), b2=np.zeros(2))
-        for rng in map(_rng_of, seed.spawn(k))])
+                            w2=_glorot(stream, DISCRIMINATOR_HIDDEN, 2), b2=np.zeros(2))
+        for stream in map(rng, seed.spawn(k))])
 
 
 def _check_batch(x, expected_cols, who):

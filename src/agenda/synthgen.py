@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DescriptorDataset
+from .dataio import DescriptorDataset, rng
 from .errors import ValidationError
 
 NOISE_GENERATOR = "philox4x64-numpy"
@@ -88,8 +88,7 @@ def generate(spec):
     spec.validate()
     root = np.random.SeedSequence(spec.seed)
     ss_dir, ss_ids = root.spawn(2)
-    rng_dir = np.random.Generator(np.random.Philox(ss_dir))
-    direction = _unit(rng_dir.standard_normal(spec.dim))
+    direction = _unit(rng(ss_dir).standard_normal(spec.dim))
 
     n = spec.n_identities
     per = spec.samples_per_identity
@@ -101,14 +100,14 @@ def generate(spec):
     attributes = np.repeat(attrs, per)
 
     for i, child in enumerate(ss_ids.spawn(n)):
-        rng = np.random.Generator(np.random.Philox(child))
-        w_i = _unit(rng.standard_normal(spec.dim))
+        draws = rng(child)
+        w_i = _unit(draws.standard_normal(spec.dim))
         # Per-identity coordinate along the attribute direction, a few times
         # the scale of a typical unit-vector coordinate: entanglement then
         # concentrates identity information onto the attribute axis as e
         # grows without handing the classifier a dominant feature at small e.
-        r_i = rng.standard_normal() * np.sqrt(ENTANGLED_COORD_VAR / spec.dim)
-        noise = rng.standard_normal((per, spec.dim))
+        r_i = draws.standard_normal() * np.sqrt(ENTANGLED_COORD_VAR / spec.dim)
+        noise = draws.standard_normal((per, spec.dim))
         sign = 1.0 if attrs[i] == 1 else -1.0
         sigma = spec.sigma_noise * (spec.female_noise_scale if attrs[i] == 0 else 1.0)
         centroid = spec.sigma_id * ((1.0 - e) * w_i + e * r_i * direction)

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .dataio import read_binary, refuse_zero_sizes, write_binary
+from .dataio import read_binary, refuse_zero_sizes, rng, write_binary
 from .errors import NumericError, ValidationError
 from .linalg import blas_threads, covariance, eigh
 
@@ -78,12 +78,11 @@ def init_matrix(dataset, seed, decomp):
 
     ``decomp`` is ``principal_axes(dataset)``.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
     keep = min(dataset.dim, EMBED_DIM)
     w = np.zeros((dataset.dim, EMBED_DIM))
     w[:, :keep] = decomp.eigenvectors[:keep].T
     if keep < EMBED_DIM:
-        w[:, keep:] = rng.normal(
+        w[:, keep:] = rng(seed).normal(
             scale=0.01 / np.sqrt(dataset.dim), size=(dataset.dim, EMBED_DIM - keep)
         )
     return w
@@ -99,13 +98,13 @@ def tpe_train_single(dataset, decomp, iterations, rate, batch, seed):
     sampler = _TripletSampler(dataset)
     ss_init, ss_triplets = seed.spawn(2)
     w = init_matrix(dataset, ss_init, decomp)
-    rng = np.random.Generator(np.random.Philox(ss_triplets))
+    triplets = rng(ss_triplets)
     x = dataset.vectors
     # exp(-d) overflows to inf for large margins, the sigmoid's correct
     # limit; a diverged run is reported once, below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
-            ia, ip, in_ = sampler.sample(batch, rng)
+            ia, ip, in_ = sampler.sample(batch, triplets)
             a, p, n = x[ia], x[ip], x[in_]
             ea, ep, en = a @ w, p @ w, n @ w
             d = np.einsum("ij,ij->i", ea, en) - np.einsum("ij,ij->i", ea, ep)

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, losses, nets
-from .dataio import format_float, split_by_identity, write_csv_report
+from .dataio import format_float, rng, split_by_identity, write_csv_report
 from .errors import NumericError, ValidationError
 
 # Spawn-key namespaces under the run seed.
@@ -180,16 +180,16 @@ def balanced_batches(attributes, batch_size, seed):
     half = batch_size // 2
     per_epoch = math.ceil(max(len(pool0), len(pool1)) / half)
     while True:
-        rng = np.random.Generator(np.random.Philox(seed.spawn(1)[0]))
-        shuffled1 = rng.permutation(pool1)
-        shuffled0 = rng.permutation(pool0)
+        draws = rng(seed.spawn(1)[0])
+        shuffled1 = draws.permutation(pool1)
+        shuffled0 = draws.permutation(pool0)
         for b in range(per_epoch):
             batch = []
             for pool, shuffled in ((pool1, shuffled1), (pool0, shuffled0)):
                 take = shuffled[b * half : (b + 1) * half]
                 if len(take) < half:
                     take = np.concatenate(
-                        [take, rng.choice(pool, size=half - len(take), replace=True)]
+                        [take, draws.choice(pool, size=half - len(take), replace=True)]
                     )
                 batch.append(take)
             yield np.concatenate(batch)
@@ -245,13 +245,12 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
     if ensemble is not None:
         outs, dcache = nets.discriminator_forward(ensemble, f_out)  # all k at once
         ld, kstar = losses.l_deb([losses.l_a(out) for out in outs])
-        if lam > 0:
-            # Ensemble weights stay frozen; only the input gradient of the
-            # strongest member's confusion term reaches the generator.
-            _, d_f_deb = nets.discriminator_backward(
-                ensemble.members[kstar], nets.member_cache(dcache, kstar),
-                lam * losses.l_a_grad(outs[kstar]), param_grad=False,
-            )
+        # Ensemble weights stay frozen; only the input gradient of the
+        # strongest member's confusion term reaches the generator.
+        _, d_f_deb = nets.discriminator_backward(
+            ensemble.members[kstar], nets.member_cache(dcache, kstar),
+            lam * losses.l_a_grad(outs[kstar]), param_grad=False,
+        )
     lc, cgrads, d_f = classified.result()
     row = dict(l_class=lc)
     if ensemble is None:
@@ -260,8 +259,7 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
         lbr = losses.l_br(lc, ld, lam)
         _check_finite(lbr, *where)
         row.update(l_deb=ld, l_br=lbr, member_k=kstar)
-        if lam > 0:
-            d_f = d_f + d_f_deb
+        d_f = d_f + d_f_deb
     moved = pool.submit(nets.adam_step, adam_cls, cls, cgrads)
     ggrads = nets.generator_backward(gen, gcache, d_f, pool=split)
     nets.adam_step(adam_gen, gen, ggrads)  # its error, if any, is raised first
@@ -363,10 +361,11 @@ def train(dataset, config, stage_hook=None):
     run, updated in place.
     """
     config.validate()
-    train_idx, val_idx = split_by_identity(
-        dataset, config.validation_fraction,
-        np.random.SeedSequence(config.seed, spawn_key=(NS_SPLIT,)),
-    )
+
+    def seed(*key):  # the run seed under spawn key ``key``
+        return np.random.SeedSequence(config.seed, spawn_key=key)
+
+    train_idx, val_idx = split_by_identity(dataset, config.validation_fraction, seed(NS_SPLIT))
     class_ids, y_id_all = np.unique(dataset.identities[train_idx], return_inverse=True)
     y_g_all = dataset.attributes[train_idx]
     if len(class_ids) < 2 or len(np.unique(y_g_all)) < 2:
@@ -374,14 +373,12 @@ def train(dataset, config, stage_hook=None):
                               "values outside the validation split")
     val_attrs = dataset.attributes[val_idx]
 
-    init_mc = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_MC,))
-    ss_gen, ss_cls = init_mc.spawn(2)
+    ss_gen, ss_cls = seed(NS_INIT_MC).spawn(2)
     gen = nets.init_generator(dataset.dim, ss_gen)
     cls = nets.init_classifier(len(class_ids), ss_cls)
 
     def fresh_ensemble(episode):
-        ss_e = np.random.SeedSequence(config.seed, spawn_key=(NS_INIT_E, episode // config.t_ep))
-        return nets.init_ensemble(config.k, ss_e)
+        return nets.init_ensemble(config.k, seed(NS_INIT_E, episode // config.t_ep))
 
     ensemble = fresh_ensemble(0)
     workers = thread_plan(config.k)
@@ -397,8 +394,7 @@ def train(dataset, config, stage_hook=None):
         if stage_hook is not None:
             stage_hook("start", episode, stage, gen, cls, ensemble)
         started = time.monotonic()
-        ss = np.random.SeedSequence(config.seed, spawn_key=(NS_BATCHES, episode, stage))
-        yield balanced_batches(y_g_all, config.batch_size, ss)
+        yield balanced_batches(y_g_all, config.batch_size, seed(NS_BATCHES, episode, stage))
         log.stage_seconds[stage] = log.stage_seconds.get(stage, 0.0) + time.monotonic() - started
         if stage_hook is not None:
             stage_hook("end", episode, stage, gen, cls, ensemble)

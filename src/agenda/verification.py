@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import format_float, split_by_identity, write_csv_report
+from .dataio import format_float, rng, split_by_identity, write_csv_report
 from .errors import DataFormatError, DimensionError, ValidationError
 from .probe import probe_eval, probe_train
 
@@ -74,7 +74,7 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
     """
     if impostor_ratio <= 0:
         raise ValidationError("impostor_ratio must be positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    draws = rng(seed)
     cols_a, cols_b, cols_genuine, cols_group = [], [], [], []
     for group in (1, 0):
         group_idx = np.flatnonzero(dataset.attributes == group)
@@ -101,14 +101,14 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
                 % GROUP_NAMES[group]
             )
         n_imp = max(1, int(round(impostor_ratio * len(gen_a))))
-        imp_a = rng.choice(group_idx, size=n_imp, replace=True)
-        imp_b = rng.choice(group_idx, size=n_imp, replace=True)
+        imp_a = draws.choice(group_idx, size=n_imp, replace=True)
+        imp_b = draws.choice(group_idx, size=n_imp, replace=True)
         # resample collisions until every impostor pair crosses identities
         while True:
             same = dataset.identities[imp_a] == dataset.identities[imp_b]
             if not same.any():
                 break
-            imp_b[same] = rng.choice(group_idx, size=int(same.sum()), replace=True)
+            imp_b[same] = draws.choice(group_idx, size=int(same.sum()), replace=True)
         cols_a += [gen_a, imp_a]
         cols_b += [gen_b, imp_b]
         cols_genuine += [np.ones(len(gen_a), bool), np.zeros(n_imp, bool)]

@@ -509,7 +509,7 @@ class TestManifests:
               "--fpr", "0.05", "--report", p["lam.csv"]],
              p["lam.csv"] + ".manifest.json",
              dict(sweep_options, lambdas="0,1", **train_options),
-             [p["c.fds"], p["t.cfg"]], [p["lam.csv"]], 0),
+             [p["c.fds"], p["t.cfg"]], [p["lam.csv"]], 3),
             (["sweep", "--data", p["c.fds"], "--config", p["t.cfg"], "--ks", "1,2",
               "--fpr", "0.05", "--report", p["ks.csv"], "--seed", "2"],
              p["ks.csv"] + ".manifest.json",
@@ -519,7 +519,7 @@ class TestManifests:
               "--delta", "0.5", "--fpr", "0.05", "--report", p["cmp.csv"]],
              p["cmp.csv"] + ".manifest.json",
              dict(sweep_options, mode="compare", delta=0.5, **train_options),
-             [p["c.fds"], p["t.cfg"]], [p["cmp.csv"]], 0),
+             [p["c.fds"], p["t.cfg"]], [p["cmp.csv"]], 3),
         ]
         keys = {"tool_version", "subcommand", "options", "inputs", "outputs", "seed",
                 "blas_threads", "wall_time_s"}
@@ -590,6 +590,65 @@ class TestManifests:
         assert {key: manifest["options"][key] for key, _ in base} == dict(base)
         header = report.read_text().splitlines()
         assert all("# %s=%s" % kv in header for kv in base)
+
+    def test_sweep_draws_from_one_seed(self, tmp_path):
+        """A --config seed is the sweep's one seed: the split, the pairs and
+        every grid point draw from it, as they do from --seed."""
+        data = tmp_path / "c.fds"
+        dataio.write_dataset(tiny_corpus()[0], data)
+        cfg = write_tiny_train_cfg(tmp_path / "t.cfg", n_ep=1)  # seed=3
+        reports = []
+        for name, seed in (("file.csv", []), ("flag.csv", ["--seed", "3"])):
+            reports.append(tmp_path / name)
+            assert cli.main(["sweep", "--data", str(data), "--config", str(cfg),
+                             "--lambdas", "0,1", "--fpr", "0.05",
+                             "--report", str(reports[-1])] + seed) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        manifest = json.loads((tmp_path / "file.csv.manifest.json").read_text())
+        assert manifest["seed"] == 3 and manifest["options"]["seed"] == 3
+        seeds = [line for line in reports[0].read_text().splitlines()
+                 if line.startswith("# seed=")]
+        assert seeds == ["# seed=3"] * 2
+
+
+# Every mode option with a default: (argv of the mode that reads it, argv of
+# the other mode, option, default). eval --pairs draws nothing but still
+# takes --seed (README), so eval has no other mode here.
+CORRPCA_FIT = ("corrpca", "--fit", "a", "--out", "o")
+CORRPCA_APPLY = ("corrpca", "--apply", "a", "--subspace", "s", "--out", "o")
+PROBE_DATA = ("probe", "--data", "a", "--report", "r")
+PROBE_TRAIN = ("probe", "--train", "a", "--test", "b", "--report", "r")
+TPE_TRAIN = ("tpe", "--train", "a", "--out", "o")
+TPE_APPLY = ("tpe", "--apply", "a", "--matrix", "m", "--out", "o")
+MODE_DEFAULTS = [
+    pytest.param(CORRPCA_FIT, CORRPCA_APPLY, "delta", 0.1, id="corrpca --fit --delta"),
+    pytest.param(("sweep", "--data", "a", "--compare", "--report", "r"),
+                 ("sweep", "--data", "a", "--lambdas", "1", "--report", "r"), "delta", 0.1,
+                 id="sweep --compare --delta"),
+    pytest.param(PROBE_DATA, PROBE_TRAIN, "test_fraction", 0.3, id="probe --data --test-fraction"),
+    pytest.param(PROBE_DATA, PROBE_TRAIN, "seed", 0, id="probe --data --seed"),
+    pytest.param(("eval", "--data", "a", "--report", "r"), None, "seed", 0, id="eval --seed"),
+] + [
+    pytest.param(TPE_TRAIN, TPE_APPLY, option, default, id="tpe --train --" + option)
+    for option, default in (("repeats", 10), ("iterations", 10000), ("rate", 2.5e-3),
+                            ("batch", 32), ("seed", 0))
+]
+
+
+@pytest.mark.parametrize("argv, other, option, default", MODE_DEFAULTS)
+def test_mode_defaults_resolve_at_parse(capsys, argv, other, option, default):
+    """``parse_args`` gives a mode option left out its default in the mode
+    that reads it and None in the other, and --help names that default."""
+    assert getattr(cli.parse_args(list(argv)), option) == default
+    if other is not None:
+        assert getattr(cli.parse_args(list(other)), option) is None
+    if option != "seed":
+        with pytest.raises(SystemExit):
+            cli.parse_args([argv[0], "--help"])
+        # the option's entry runs from its flag to the next option's
+        entry = capsys.readouterr().out.split("\n  --%s " % option.replace("_", "-"))[1]
+        entry = " ".join(entry.split("\n  -")[0].split())
+        assert "default %s" % default in entry, entry
 
 
 class TestPipeline:
