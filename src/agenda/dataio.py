@@ -96,7 +96,8 @@ def _record_dtype(dim):
 
 def write_dataset(dataset, path):
     """Write ``dataset`` to ``path``; vectors are narrowed to float32."""
-    vec32 = dataset.vectors.astype(np.float32)
+    with np.errstate(over="ignore"):  # refused just below
+        vec32 = dataset.vectors.astype(np.float32)
     if not np.all(np.isfinite(vec32)):
         raise ValidationError("vectors overflow float32 storage")
     records = np.empty(dataset.n, dtype=_record_dtype(dataset.dim))
@@ -180,6 +181,15 @@ def refuse_zero_sizes(what, *sizes):
     """A header size of 0 is ``truncated``: no file the package writes has one."""
     if min(sizes) < 1:
         raise DataFormatError("truncated", "%s header declares a zero size: %s" % (what, sizes))
+
+
+def refuse_oversized(what, *shape):
+    """MemoryError for ``shape`` 8-byte elements, more than any numpy array
+    holds (numpy reports those as ValueError or OverflowError); a smaller
+    request the machine cannot give fails in numpy as MemoryError."""
+    if math.prod(int(size) for size in shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError("%s needs %s 8-byte elements, more than any numpy array holds"
+                          % (what, " x ".join(str(size) for size in shape)))
 
 
 def _dataset_layout(count, dim):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DescriptorDataset, rng
+from .dataio import DescriptorDataset, refuse_oversized, rng
 from .errors import ValidationError
 
 NOISE_GENERATOR = "philox4x64-numpy"
@@ -86,6 +86,7 @@ def generate(spec):
     (so males take the ceil half) and identities are numbered 0..n-1.
     """
     spec.validate()
+    refuse_oversized("corpus", spec.n_identities * spec.samples_per_identity, spec.dim)
     root = np.random.SeedSequence(spec.seed)
     ss_dir, ss_ids = root.spawn(2)
     direction = _unit(rng(ss_dir).standard_normal(spec.dim))
@@ -110,9 +111,11 @@ def generate(spec):
         noise = draws.standard_normal((per, spec.dim))
         sign = 1.0 if attrs[i] == 1 else -1.0
         sigma = spec.sigma_noise * (spec.female_noise_scale if attrs[i] == 0 else 1.0)
-        centroid = spec.sigma_id * ((1.0 - e) * w_i + e * r_i * direction)
-        centroid = centroid + e * g * sign * direction
-        rows = centroid + (1.0 - e) * g * sign * direction + sigma * noise
+        # An overflow to inf or nan is refused by the dataset's finite check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            centroid = spec.sigma_id * ((1.0 - e) * w_i + e * r_i * direction)
+            centroid = centroid + e * g * sign * direction
+            rows = centroid + (1.0 - e) * g * sign * direction + sigma * noise
         vectors[i * per : (i + 1) * per] = rows
 
     dataset = DescriptorDataset(identities, attributes, vectors)

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .dataio import read_binary, refuse_zero_sizes, rng, write_binary
+from .dataio import read_binary, refuse_oversized, refuse_zero_sizes, rng, write_binary
 from .errors import NumericError, ValidationError
 from .linalg import blas_threads, covariance, eigh
 
@@ -95,6 +95,7 @@ def tpe_train_single(dataset, decomp, iterations, rate, batch, seed):
     """
     if iterations < 0 or batch < 1 or not rate > 0:
         raise ValidationError("iterations >= 0, batch >= 1 and rate > 0 required")
+    refuse_oversized("triplet batch", batch)
     sampler = _TripletSampler(dataset)
     ss_init, ss_triplets = seed.spawn(2)
     w = init_matrix(dataset, ss_init, decomp)

@@ -32,14 +32,15 @@ and classifier product (``nets._product``), and the classifier's Adam step
 as in stage 3. A cut depends on the product's shape only, never on the
 worker count. Only this thread submits work, and only lanes that never
 wait on the pool run on it. ``thread_plan`` gives one worker per usable
-core, at most ``max(k, 2)``; BLAS runs on one thread for the length of
-``train`` (``linalg.blas_threads``).
+core, at most ``max(k, 2)``. ``train`` hands the one pool to every stage
+method, and BLAS runs on one thread while it lives (``linalg.blas_threads``).
 
-Memory: the training and validation splits are index arrays into the one
-float64 corpus the caller holds. Batches gather their rows from it, and the
-frozen-generator passes gather theirs one chunk at a time, so no split's
-vectors are copied whole: a 512-d train at batch 400 and k 5 peaks at about
-140 MiB.
+Memory: ``TrainState`` holds what the stages share. The splits are index
+arrays into the caller's float64 corpus, gathered per batch or per chunk,
+never copied whole. A stage's own buffers (Adam state, batches, stage 4's
+validation pass) are locals of its method; only ``f_train``, the pass over
+the training split that stage 4 and the next stage 2 share, outlives one.
+A 512-d train at batch 400 and k 5 peaks at about 135 MiB.
 """
 
 import contextlib
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, losses, nets
-from .dataio import format_float, rng, split_by_identity, write_csv_report
+from .dataio import format_float, refuse_oversized, rng, split_by_identity, write_csv_report
 from .errors import NumericError, ValidationError
 
 # Spawn-key namespaces under the run seed.
@@ -98,16 +99,12 @@ class TrainConfig:
             self.t_ep = self.k
 
     def validate(self):
-        counts = {
-            "k": self.k, "t_fc": self.t_fc, "t_gtrain": self.t_gtrain,
-            "t_deb": self.t_deb, "t_plat": self.t_plat,
-            "t_ep": self.t_ep, "n_ep": self.n_ep,
-        }
-        for name, value in counts.items():
+        for name in ("k", "t_fc", "t_gtrain", "t_deb", "t_plat", "t_ep", "n_ep"):
+            value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValidationError("%s must be an integer >= 1, got %r" % (name, value))
-        for name, rate in (("alpha1", self.alpha1), ("alpha2", self.alpha2), ("alpha3", self.alpha3)):
-            if not rate > 0:
+        for name in ("alpha1", "alpha2", "alpha3"):
+            if not getattr(self, name) > 0:
                 raise ValidationError("%s must be > 0" % name)
         for name in ("lam", "seed"):
             if not getattr(self, name) >= 0:
@@ -173,6 +170,7 @@ def balanced_batches(attributes, batch_size, seed):
     """
     if batch_size < 2 or batch_size % 2 != 0:
         raise ValidationError("batch_size must be even and >= 2")
+    refuse_oversized("batch", batch_size)
     pool1 = np.flatnonzero(attributes == 1)
     pool0 = np.flatnonzero(attributes == 0)
     if len(pool0) == 0 or len(pool1) == 0:
@@ -352,122 +350,124 @@ def _worker_pool(workers):
             yield _INLINE
 
 
+class TrainState:
+    """What a run carries between stages: the split and its labels, the three
+    parameter objects (each updated in place), the member groups, the log and
+    ``f_train``. A stage's other buffers are locals of its method."""
+
+    def __init__(self, dataset, config):
+        self.dataset, self.config = dataset, config
+        self.train_idx, self.val_idx = split_by_identity(
+            dataset, config.validation_fraction, self.seed(NS_SPLIT))
+        class_ids, self.y_id = np.unique(dataset.identities[self.train_idx], return_inverse=True)
+        self.y_g = dataset.attributes[self.train_idx]
+        if len(class_ids) < 2 or len(np.unique(self.y_g)) < 2:
+            raise ValidationError("training needs 2 or more identities and both attribute "
+                                  "values outside the validation split")
+        self.val_attrs = dataset.attributes[self.val_idx]
+        ss_gen, ss_cls = self.seed(NS_INIT_MC).spawn(2)
+        self.gen = nets.init_generator(dataset.dim, ss_gen)
+        self.cls = nets.init_classifier(len(class_ids), ss_cls)
+        self.ensemble = nets.init_ensemble(config.k, self.seed(NS_INIT_E, 0))
+        self.log = TrainLog(workers=thread_plan(config.k))
+        self.groups = [self.ensemble.member_slice(part[0], part[-1] + 1)  # larger first
+                       for part in np.array_split(np.arange(config.k),
+                                                  min(config.k, self.log.workers))]
+        self.f_train = None
+
+    def seed(self, *key):  # the run seed under spawn key ``key``
+        return np.random.SeedSequence(self.config.seed, spawn_key=key)
+
+    def schedule(self):
+        """(episode, stage, stage method) in the order they run."""
+        for episode in range(self.config.n_ep):
+            if episode == 0:
+                yield episode, 1, self.warm_up
+            if episode % self.config.t_ep == 0:
+                yield episode, 2, self.train_members
+            yield episode, 3, self.debias
+            yield episode, 4, self.retrain_member
+
+    def frozen(self):
+        # One pass per generator state; stage 4 and the next stage 2 share it.
+        if self.f_train is None:
+            self.f_train = _generate(self.gen, self.dataset.vectors, self.train_idx)
+        return self.f_train
+
+    def _class_stage(self, pool, episode, stage, batches, steps, lr, **deb):
+        self.f_train = None  # the generator is about to move
+        adam_gen, adam_cls = nets.AdamState(lr=lr), nets.AdamState(lr=lr)
+        for n in range(steps):
+            idx = next(batches)
+            row = _class_step(pool, self.gen, self.cls, adam_gen, adam_cls,
+                              self.dataset.vectors[self.train_idx[idx]], self.y_id[idx],
+                              (stage, episode, n), **deb)
+            self.log.append(episode=episode, stage=stage, iteration=n, **row)
+
+    def warm_up(self, pool, episode, batches):
+        self._class_stage(pool, episode, 1, batches, self.config.t_fc, self.config.alpha1)
+
+    def debias(self, pool, episode, batches):
+        self._class_stage(pool, episode, 3, batches, self.config.t_deb, self.config.alpha3,
+                          ensemble=self.ensemble, lam=self.config.lam)
+
+    def train_members(self, pool, episode, batches):
+        # Refilled in place, so a hook that keeps the object sees every update.
+        self.ensemble.flat[:] = nets.init_ensemble(
+            self.config.k, self.seed(NS_INIT_E, episode // self.config.t_ep)).flat
+        stop = threading.Event()
+        args = (self.config.alpha2, self.frozen(),
+                [next(batches) for _ in range(self.config.t_gtrain)], self.y_g, episode, stop)
+        # The first (largest) group runs on this thread.
+        rest = [pool.submit(_member_group_steps, group, *args) for group in self.groups[1:]]
+        try:
+            failures = [_member_group_steps(self.groups[0], *args)]
+            failures += [future.result() for future in rest]
+        except BaseException:  # e.g. KeyboardInterrupt: do not wait for the rest
+            stop.set()
+            raise
+        if any(failures):
+            raise _stack_failure([failure for failure in failures if failure])
+        self.log.records += [LogRecord(episode, 2, n) for n in range(self.config.t_gtrain)]
+
+    def retrain_member(self, pool, episode, batches):
+        k = episode % self.config.k
+        member = self.ensemble.members[k]
+        adam = nets.AdamState(lr=self.config.alpha2)
+        f_val = _generate(self.gen, self.dataset.vectors, self.val_idx)
+        for n in range(self.config.t_plat):
+            val_out, _ = nets.discriminator_forward(member, f_val)
+            acc = float(np.mean(np.argmax(val_out, axis=1) == self.val_attrs))
+            self.log.append(episode=episode, stage=4, iteration=n, member_k=k, val_acc=acc)
+            if acc > self.config.g_thresh:
+                break
+            idx = next(batches)
+            _discriminator_step(member, adam, self.frozen()[idx], self.y_g[idx], (4, episode, n))
+
+
 def train(dataset, config, stage_hook=None):
     """Run the full schedule; returns (generator, classifier, ensemble, log).
 
     ``stage_hook(event, episode, stage, gen, cls, ensemble)`` is invoked
     with event "start"/"end" around every executed stage; it must treat the
     parameters as read-only. Each of the three is one object for the whole
-    run, updated in place.
+    run, updated in place. A stage's wall time, hooks excluded, adds to
+    ``log.stage_seconds``.
     """
     config.validate()
-
-    def seed(*key):  # the run seed under spawn key ``key``
-        return np.random.SeedSequence(config.seed, spawn_key=key)
-
-    train_idx, val_idx = split_by_identity(dataset, config.validation_fraction, seed(NS_SPLIT))
-    class_ids, y_id_all = np.unique(dataset.identities[train_idx], return_inverse=True)
-    y_g_all = dataset.attributes[train_idx]
-    if len(class_ids) < 2 or len(np.unique(y_g_all)) < 2:
-        raise ValidationError("training needs 2 or more identities and both attribute "
-                              "values outside the validation split")
-    val_attrs = dataset.attributes[val_idx]
-
-    ss_gen, ss_cls = seed(NS_INIT_MC).spawn(2)
-    gen = nets.init_generator(dataset.dim, ss_gen)
-    cls = nets.init_classifier(len(class_ids), ss_cls)
-
-    def fresh_ensemble(episode):
-        return nets.init_ensemble(config.k, seed(NS_INIT_E, episode // config.t_ep))
-
-    ensemble = fresh_ensemble(0)
-    workers = thread_plan(config.k)
-    groups = [ensemble.member_slice(part[0], part[-1] + 1)  # larger groups first
-              for part in np.array_split(np.arange(config.k), min(config.k, workers))]
-    log = TrainLog(workers=workers)
-    f_train = None  # generator output over the split while the generator is frozen
-
-    @contextlib.contextmanager
-    def stage_span(episode, stage):
-        """Hook calls around one stage, whose wall time (hooks excluded)
-        adds to ``log.stage_seconds``; yields the stage's batch stream."""
-        if stage_hook is not None:
-            stage_hook("start", episode, stage, gen, cls, ensemble)
-        started = time.monotonic()
-        yield balanced_batches(y_g_all, config.batch_size, seed(NS_BATCHES, episode, stage))
-        log.stage_seconds[stage] = log.stage_seconds.get(stage, 0.0) + time.monotonic() - started
-        if stage_hook is not None:
-            stage_hook("end", episode, stage, gen, cls, ensemble)
-
-    def frozen():
-        # One pass per generator state; stage 4 and the next stage 2 share it.
-        nonlocal f_train
-        if f_train is None:
-            f_train = _generate(gen, dataset.vectors, train_idx)
-        return f_train
-
-    def class_stage(episode, stage, steps, lr, **deb):
-        nonlocal f_train
-        f_train = None  # the generator is about to move
-        adam_gen, adam_cls = nets.AdamState(lr=lr), nets.AdamState(lr=lr)
-        with stage_span(episode, stage) as stream:
-            for n in range(steps):
-                idx = next(stream)
-                row = _class_step(pool, gen, cls, adam_gen, adam_cls,
-                                  dataset.vectors[train_idx[idx]], y_id_all[idx],
-                                  (stage, episode, n), **deb)
-                log.append(episode=episode, stage=stage, iteration=n, **row)
-
-    def members_stage(episode):
-        with stage_span(episode, 2) as stream:
-            if episode > 0:
-                # Refill the one ensemble buffer, so a hook that keeps
-                # the object sees every later update.
-                ensemble.flat[:] = fresh_ensemble(episode).flat
-            stop = threading.Event()
-            args = (config.alpha2, frozen(), [next(stream) for _ in range(config.t_gtrain)],
-                    y_g_all, episode, stop)
-            # The first (largest) group runs on this thread.
-            rest = [pool.submit(_member_group_steps, group, *args) for group in groups[1:]]
-            try:
-                failures = [_member_group_steps(groups[0], *args)]
-                failures += [future.result() for future in rest]
-            except BaseException:  # e.g. KeyboardInterrupt: do not wait for the rest
-                stop.set()
-                raise
-            failures = [failure for failure in failures if failure is not None]
-            if failures:
-                raise _stack_failure(failures)
-            for n in range(config.t_gtrain):
-                log.append(episode=episode, stage=2, iteration=n)
-
-    with _worker_pool(workers) as pool:
-        for episode in range(config.n_ep):
-            if episode == 0:
-                class_stage(episode, 1, config.t_fc, config.alpha1)
-
-            if episode % config.t_ep == 0:
-                members_stage(episode)
-
-            class_stage(episode, 3, config.t_deb, config.alpha3,
-                        ensemble=ensemble, lam=config.lam)
-
-            k = episode % config.k
-            member = ensemble.members[k]
-            with stage_span(episode, 4) as stream:
-                adam = nets.AdamState(lr=config.alpha2)
-                f_val = _generate(gen, dataset.vectors, val_idx)
-                for n in range(config.t_plat):
-                    val_out, _ = nets.discriminator_forward(member, f_val)
-                    acc = float(np.mean(np.argmax(val_out, axis=1) == val_attrs))
-                    log.append(episode=episode, stage=4, iteration=n, member_k=k, val_acc=acc)
-                    if acc > config.g_thresh:
-                        break
-                    idx = next(stream)
-                    _discriminator_step(member, adam, frozen()[idx], y_g_all[idx],
-                                        (4, episode, n))
-
-    return gen, cls, ensemble, log
+    state = TrainState(dataset, config)
+    seconds = state.log.stage_seconds
+    with _worker_pool(state.log.workers) as pool:
+        for episode, stage, run in state.schedule():
+            if stage_hook is not None:
+                stage_hook("start", episode, stage, state.gen, state.cls, state.ensemble)
+            started = time.monotonic()
+            run(pool, episode, balanced_batches(state.y_g, config.batch_size,
+                                                state.seed(NS_BATCHES, episode, stage)))
+            seconds[stage] = seconds.get(stage, 0.0) + time.monotonic() - started
+            if stage_hook is not None:
+                stage_hook("end", episode, stage, state.gen, state.cls, state.ensemble)
+    return state.gen, state.cls, state.ensemble, state.log
 
 
 def transform(gen, dataset):

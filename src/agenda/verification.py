@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import format_float, rng, split_by_identity, write_csv_report
+from .dataio import format_float, refuse_oversized, rng, split_by_identity, write_csv_report
 from .errors import DataFormatError, DimensionError, ValidationError
 from .probe import probe_eval, probe_train
 
@@ -101,6 +101,7 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
                 % GROUP_NAMES[group]
             )
         n_imp = max(1, int(round(impostor_ratio * len(gen_a))))
+        refuse_oversized("impostor pairs", n_imp)
         imp_a = draws.choice(group_idx, size=n_imp, replace=True)
         imp_b = draws.choice(group_idx, size=n_imp, replace=True)
         # resample collisions until every impostor pair crosses identities

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from agenda import cli, dataio, linalg, nets, probe, tpe, trainer, verification
+from agenda import cli, dataio, linalg, nets, probe, synthgen, tpe, trainer, verification
 from conftest import run_cli, tiny_corpus
 
 
@@ -220,6 +220,11 @@ CONTRACT_CASES = [
 ] + [
     pytest.param(("synth", "--spec", "{negspec}", "--out", "{out}"), {}, 4,
                  id="synth spec seed=-1"),
+    # overflow to inf: one error line, and no RuntimeWarning before it
+    pytest.param(("synth", "--spec", "{idspec}", "--out", "{out}"), {}, 4,
+                 id="synth spec sigma_id=1e308"),
+    pytest.param(("synth", "--spec", "{noisespec}", "--out", "{out}"), {}, 4,
+                 id="synth spec sigma_noise=1e308"),
     pytest.param(("sweep", "--data", "{data}", "--config", "{negcfg}", "--lambdas", "0,1",
                   "--report", "{out}"), {}, 4, id="sweep config seed=-1"),
     # a dataset is binary, not UTF-8 text
@@ -255,7 +260,9 @@ class TestNoTraceback:
         paths = dict(data=data, empty=empty, out=tmp_path / "out",
                      cfg=write_tiny_train_cfg(tmp_path / "t.cfg", lam="nan"),
                      negcfg=write_tiny_train_cfg(tmp_path / "neg.cfg", seed=-1),
-                     negspec=write_tiny_spec(tmp_path / "neg.spec", seed=-1))
+                     negspec=write_tiny_spec(tmp_path / "neg.spec", seed=-1),
+                     idspec=write_tiny_spec(tmp_path / "id.spec", sigma_id=1e308),
+                     noisespec=write_tiny_spec(tmp_path / "noise.spec", sigma_noise=1e308))
         assert cli.main([a.format(**paths) for a in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -267,21 +274,44 @@ class TestNoTraceback:
         ["eval", "--data", "{data}", "--report", "{out}", "--impostor-ratio", "1e12"],
         ["synth", "--spec", "{spec}", "--out", "{out}"],
         ["tpe", "--train", "{data}", "--out", "{out}", "--batch", "100000000000000"],
-    ], ids=["eval impostors", "synth corpus", "tpe batch"])
+        ["eval", "--data", "{data}", "--report", "{out}", "--impostor-ratio", "1e16"],
+        ["eval", "--data", "{data}", "--report", "{out}", "--impostor-ratio", "1e17"],
+        ["eval", "--data", "{desk}", "--report", "{out}", "--impostor-ratio", "1e15"],
+        ["sweep", "--data", "{desk}", "--lambdas", "0", "--report", "{out}",
+         "--impostor-ratio", "1e15"],
+        ["synth", "--spec", "{many}", "--out", "{out}"],
+        ["synth", "--spec", "{wide}", "--out", "{out}"],
+        ["tpe", "--train", "{data}", "--out", "{out}", "--batch", "2000000000000000000"],
+        ["train", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"],
+    ], ids=["eval impostors", "synth corpus", "tpe batch", "eval impostors 1e16",
+            "eval impostors 1e17", "eval desk impostors 1e15", "sweep desk impostors 1e15",
+            "synth n_identities 1e17", "synth dim 1e19", "tpe batch 2e18",
+            "train batch_size 1e20"])
     def test_request_beyond_the_address_space_is_4(self, tmp_path, capsys, argv):
-        # Each asks numpy for one array larger than the 128 TiB user address
-        # space (about 1.7e14 impostor indices, 186 TiB of corpus vectors,
-        # 1e14 triplet indices), so the allocation fails before any page is
-        # touched.
-        data = tmp_path / "c.fds"
+        # The first three ask numpy for one array larger than the 128 TiB
+        # user address space (about 1.7e14 impostor indices, 186 TiB of
+        # corpus vectors, 1e14 triplet indices), so the allocation fails
+        # before any page is touched. The rest ask for more 8-byte elements
+        # than any numpy array holds (1.7e18 to 1.2e20 impostor indices,
+        # 6e18 or 8.4e20 corpus values, 2e18 triplet indices, a batch of
+        # 1e20), which numpy reports as ValueError or OverflowError; the
+        # package refuses those sizes as MemoryError before it asks.
+        data, desk = tmp_path / "c.fds", tmp_path / "desk.fds"
         dataio.write_dataset(tiny_corpus()[0], data)
-        spec = write_tiny_spec(tmp_path / "s.cfg", n_identities=1000000000, dim=512,
-                               samples_per_identity=50)
-        out = tmp_path / "out"
-        assert cli.main([a.format(data=data, spec=spec, out=out) for a in argv]) == 4
+        if "{desk}" in argv:
+            dataio.write_dataset(synthgen.generate(synthgen.SynthSpec())[0], desk)
+        paths = dict(
+            data=data, desk=desk, out=tmp_path / "out",
+            spec=write_tiny_spec(tmp_path / "s.cfg", n_identities=1000000000, dim=512,
+                                 samples_per_identity=50),
+            many=write_tiny_spec(tmp_path / "many.cfg", n_identities=10 ** 17),
+            wide=write_tiny_spec(tmp_path / "wide.cfg", dim=10 ** 19),
+            cfg=write_tiny_train_cfg(tmp_path / "t.cfg", batch_size=10 ** 20),
+        )
+        assert cli.main([a.format(**paths) for a in argv]) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("agenda: error exit=4 kind=MemoryError ")
-        assert not out.exists()
+        assert not paths["out"].exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_tpe_is_4_and_writes_no_matrix(self, tmp_path, capsys):

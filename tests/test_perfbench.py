@@ -32,10 +32,19 @@ def test_tracer_times_a_tiny_train(tmp_path):
     proc = _run([str(REPO / "perfbench" / "tracer.py"), "table.json", "train",
                  "--data", "c.fds", "--config", "t.cfg", "--out", "m.agnd"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads((tmp_path / "table.json").read_text())["spans"]
+    table = json.loads((tmp_path / "table.json").read_text())
+    spans = table["spans"]
     for stage in (1, 2, 3, 4):
         assert spans["trainer.stage%d" % stage][0] >= 1, sorted(spans)
     assert spans["nets.save_checkpoint"][0] == 1
+    # The counters the benchmark reports from train. At this config: an
+    # 80-record training split; stage 4 runs all 5 steps in each of the 2
+    # episodes; the frozen passes are 3 over the split (after stage 1 and
+    # after each stage 3) and 2 over the 16-record validation split.
+    counts = table["counts"]
+    assert counts["trainer.train_split_records"] == 80
+    assert counts["trainer.stage4_iterations"] == 10
+    assert counts["nets.generator_forward_frozen_rows"] == 272
 
 
 def test_tracer_times_each_fitted_map(tmp_path):

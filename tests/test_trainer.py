@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -538,12 +539,37 @@ class TestFrozenGeneratorPass:
         trainer.train(ds, cfg, stage_hook=hook)
         assert sum(rows) == 4 * len(train_idx) + 3 * len(val_idx)
 
+    def test_no_frozen_pass_outlives_its_stage(self, monkeypatch):
+        # Stage 3 moves the generator, so at each of its steps every earlier
+        # frozen-generator output (the training-split pass and each stage 4's
+        # validation pass) must already be freed, not kept by the loop.
+        ds, _ = tiny_corpus()
+        cfg = tiny_config(n_ep=4, k=2, g_thresh=1.0)
+        outputs, alive = [], []
+        generate, class_step = trainer._generate, trainer._class_step
+
+        def recorded(*args):
+            out = generate(*args)
+            outputs.append(weakref.ref(out))
+            return out
+
+        def step(*args, **kw):
+            if kw.get("ensemble") is not None:
+                alive.append(sum(ref() is not None for ref in outputs))
+            return class_step(*args, **kw)
+
+        monkeypatch.setattr(trainer, "_generate", recorded)
+        monkeypatch.setattr(trainer, "_class_step", step)
+        trainer.train(ds, cfg)
+        assert len(outputs) >= 8 and len(alive) == cfg.n_ep * cfg.t_deb
+        assert set(alive) == {0}
+
 
 def test_512d_train_peak_rss_is_bounded(corpus_512d, tmp_path):
     # The paper's shapes on a short schedule. With the splits as index
-    # arrays into the one corpus the peak is about 138 MiB, with stage 1's
-    # products split by rows across the pool as without; copying the
-    # training and validation splits beside the corpus took 167 MiB.
+    # arrays into the one corpus and each stage's buffers freed when it
+    # ends, the peak is about 135 MiB; copying the training and validation
+    # splits beside the corpus took 167 MiB.
     cfg = tmp_path / "t.cfg"
     cfg.write_text("k=5\nt_fc=20\nt_gtrain=10\nt_deb=5\nt_plat=5\nn_ep=2\nbatch_size=400\n")
     peak_mib = peak_rss_mib("train", "--data", corpus_512d, "--config", cfg,
