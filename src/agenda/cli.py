@@ -30,6 +30,15 @@ classifier and discriminator lanes and the two row parts of stage 1's
 large products on one worker thread per usable core, at most ``max(k, 2)``;
 its outputs are the same bytes at any core count. The train manifest
 records the worker count and each stage's wall seconds (``stage_seconds``).
+
+``tpe --train`` runs each repeat, and ``sweep`` each grid point or compared
+method, as a forked child: at most one per usable core at a time, each
+pinned to ``cores // children`` cores, so a training child runs on one
+worker thread on a two-core machine (``linalg.in_processes``). The parent
+combines the results in unit order, so the outputs are the bytes of one
+process running the units in turn, and a child's error exits as it would
+in process. Peak RSS is per process; the summed peak of the children is
+the figure that meets the machine's memory.
 """
 
 import argparse

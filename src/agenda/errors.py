@@ -6,7 +6,21 @@ validation and numeric failures exit 4 (usage errors exit 2 via argparse).
 
 
 class AgendaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error pickles with its message and attributes, whatever its class's
+    ``__init__`` takes, so one raised in a child process is raised again in
+    the parent as itself (``linalg.in_processes``).
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, attributes):
+    error = cls.__new__(cls, *args)  # sets ``args``; ``__init__`` is not run again
+    error.__dict__.update(attributes)
+    return error
 
 
 class ValidationError(AgendaError):

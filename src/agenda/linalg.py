@@ -15,6 +15,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,97 @@ def blas_threads(count):
         yield count
     finally:
         set_threads(previous)
+
+
+def in_processes(fn, units):
+    """``[fn(unit) for unit in units]``, each call in a forked child.
+
+    At most ``min(cores, len(units))`` children run at once, each pinned to
+    ``cores // running`` of the usable cores, so a ``trainer.thread_plan``
+    inside it sees its share. A child pickles its result or its exception
+    to a pipe and ends with ``os._exit``: it never returns into the
+    caller's stack. The results come back in unit order. A failure raises
+    the lowest-index unit's exception, as the loop would, and stops the
+    units after it. On any exception here, an interrupt included, every
+    child is killed and reaped. With one usable core or one unit, or
+    without ``sched_setaffinity``, the calls run in this process. Fork only
+    where no thread pool is alive: a child has only the calling thread. A
+    child keeps the caller's BLAS thread count, so run BLAS on no more
+    threads than a child's share: a probe fit on two BLAS threads pinned to
+    one core took 12 times as long as on one.
+    """
+    units = list(units)
+    cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    running = min(len(cores), len(units))
+    if running < 2:
+        return [fn(unit) for unit in units]
+    import select  # only the process path needs these
+    import signal
+
+    share = len(cores) // running
+    free = [cores[slot * share:(slot + 1) * share] for slot in range(running)]
+    queue, children, outcomes = list(enumerate(units))[::-1], {}, {}
+
+    def stop(after):  # start no unit past ``after``; kill and reap those running
+        queue[:] = [item for item in queue if item[0] <= after]
+        for fd, (index, pid, _, _) in list(children.items()):
+            if index > after:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(fd)
+                del children[fd]
+
+    try:
+        while queue or children:
+            while queue and free:
+                index, unit = queue.pop()
+                cpus = free.pop()
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read)
+                    _child(fn, unit, cpus, write)
+                children[read] = (index, pid, cpus, [])
+                os.close(write)
+            for fd in select.select(list(children), [], [])[0]:
+                index, pid, cpus, chunks = children[fd]
+                chunks.append(os.read(fd, 1 << 20))
+                if chunks[-1]:
+                    continue
+                del children[fd]
+                os.close(fd)
+                os.waitpid(pid, 0)
+                free.append(cpus)
+                if not chunks[0]:
+                    raise ChildProcessError("unit %d ended without a result" % index)
+                outcomes[index] = pickle.loads(b"".join(chunks))
+                if not outcomes[index][0]:
+                    stop(index)
+                    break  # ``stop`` may have closed a ready descriptor
+    finally:
+        stop(-1)
+    results = []
+    for index in range(len(units)):
+        ok, value = outcomes[index]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _child(fn, unit, cpus, write):
+    """One ``in_processes`` child: ``fn(unit)`` on ``cpus``, its result or
+    exception pickled to ``write``. It never returns."""
+    try:
+        os.sched_setaffinity(0, cpus)
+        try:
+            payload = pickle.dumps((True, fn(unit)))
+        except BaseException as exc:
+            payload = pickle.dumps((False, exc))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
 
 def covariance(x):

@@ -13,7 +13,11 @@ dimension is at most 128) with small seeded noise filling any leftover
 columns. A full run trains ``repeats`` independent matrices from seeds
 spawned off the run seed (spawn key ``(r,)``) and averages them
 element-wise, with BLAS on one thread (``linalg.blas_threads``) so the
-matrix bytes do not depend on the caller's thread count.
+matrix bytes do not depend on the caller's thread count. The repeats run
+as forked children, at most one per usable core at a time, each pinned to
+its share of the cores (``linalg.in_processes``). The parent sums their
+matrices in repeat order, so the bytes are those of one process running
+them in turn. Each child holds its own working set: peak RSS is per process.
 """
 
 import struct
@@ -22,7 +26,7 @@ import numpy as np
 
 from .dataio import read_binary, refuse_oversized, refuse_zero_sizes, rng, write_binary
 from .errors import NumericError, ValidationError
-from .linalg import blas_threads, covariance, eigh
+from .linalg import blas_threads, covariance, eigh, in_processes
 
 EMBED_DIM = 128
 DEFAULT_REPEATS = 10
@@ -123,14 +127,19 @@ def tpe_train_single(dataset, decomp, iterations, rate, batch, seed):
 def tpe_train(dataset, repeats=DEFAULT_REPEATS, iterations=DEFAULT_ITERATIONS,
               rate=DEFAULT_RATE, batch=DEFAULT_BATCH, seed=0):
     """Average of ``repeats`` independent runs seeded by spawn keys (0,)..(r-1,);
-    they share one covariance decomposition."""
+    they share one covariance decomposition, computed before the runs are
+    forked, one child per repeat (``linalg.in_processes``)."""
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
     decomp = principal_axes(dataset)
+
+    def repeat(r):
+        return tpe_train_single(dataset, decomp, iterations, rate, batch,
+                                np.random.SeedSequence(seed, spawn_key=(r,)))
+
     total = np.zeros((dataset.dim, EMBED_DIM))
-    for r in range(repeats):
-        child = np.random.SeedSequence(seed, spawn_key=(r,))
-        total += tpe_train_single(dataset, decomp, iterations, rate, batch, child)
+    for w in in_processes(repeat, range(repeats)):
+        total += w
     return total / repeats
 
 

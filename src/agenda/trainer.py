@@ -23,29 +23,33 @@ Parallelism: work that reads nothing the other part writes runs on two or
 more threads, with the same arithmetic in the same order as on one, so the
 results do not depend on the thread count. Stage 2 splits the members into
 ``min(k, workers)`` contiguous groups, each trained for all ``t_gtrain``
-steps on its own thread and Adam state. In stage 3 the classifier lane
-(forward, loss, backward) runs beside the discriminator lane (stacked
-forward, the strongest member's input gradient), and the classifier's Adam
-step runs beside the generator's backward pass and Adam step. Stage 1 has
-one lane; the pool computes the second row part of each large generator
-and classifier product (``nets._product``), and the classifier's Adam step
-as in stage 3. A cut depends on the product's shape only, never on the
-worker count. Only this thread submits work, and only lanes that never
-wait on the pool run on it. ``thread_plan`` gives one worker per usable
-core, at most ``max(k, 2)``. ``train`` hands the one pool to every stage
-method, and BLAS runs on one thread while it lives (``linalg.blas_threads``).
+steps on its own thread, Adam state and copy of the stage's batch stream.
+In stage 3 the classifier lane (forward, loss, backward) runs beside the
+discriminator lane (stacked forward, the strongest member's input
+gradient), and the classifier's Adam step runs beside the generator's
+backward pass and Adam step. Stage 1 has one lane; the pool computes the
+second row part of each large generator and classifier product
+(``nets._product``), and the classifier's Adam step as in stage 3. A cut
+depends on the product's shape only, never on the worker count. Only this
+thread submits work, and only lanes that never wait on the pool run on it.
+``thread_plan`` gives one worker per usable core, at most ``max(k, 2)``.
+``train`` hands the one pool to every stage method, and BLAS runs on one
+thread while it lives (``linalg.blas_threads``).
 
 Memory: ``TrainState`` holds what the stages share. The splits are index
 arrays into the caller's float64 corpus, gathered per batch or per chunk,
 never copied whole. A stage's own buffers (Adam state, batches, stage 4's
 validation pass) are locals of its method; only ``f_train``, the pass over
 the training split that stage 4 and the next stage 2 share, outlives one.
+Batches are drawn as they are used: stage 2 keeps no list of its
+``t_gtrain`` batches (96 MiB at the paper's 30,000 steps of 400).
 A 512-d train at batch 400 and k 5 peaks at about 135 MiB.
 """
 
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import threading
@@ -276,8 +280,9 @@ def _discriminator_step(disc, adam, f_out, y_g, where):
     nets.adam_step(adam, disc, grads)
 
 
-def _member_group_steps(group, lr, f_train, batches, y_g_all, episode, stop):
-    """Stage 2 for one contiguous group of members, on its own Adam state.
+def _member_group_steps(group, batches, lr, f_train, y_g_all, episode, stop):
+    """Stage 2 for one contiguous group of members, on its own Adam state,
+    over the iterable ``batches``.
 
     Returns None, or (iteration, error) for the group's first failed step.
     Returns early once the ``stop`` event is set.
@@ -378,6 +383,11 @@ class TrainState:
     def seed(self, *key):  # the run seed under spawn key ``key``
         return np.random.SeedSequence(self.config.seed, spawn_key=key)
 
+    def batches(self, episode, stage):
+        """The stage's batch stream; every call starts the same stream over."""
+        return balanced_batches(self.y_g, self.config.batch_size,
+                                self.seed(NS_BATCHES, episode, stage))
+
     def schedule(self):
         """(episode, stage, stage method) in the order they run."""
         for episode in range(self.config.n_ep):
@@ -416,12 +426,15 @@ class TrainState:
         self.ensemble.flat[:] = nets.init_ensemble(
             self.config.k, self.seed(NS_INIT_E, episode // self.config.t_ep)).flat
         stop = threading.Event()
-        args = (self.config.alpha2, self.frozen(),
-                [next(batches) for _ in range(self.config.t_gtrain)], self.y_g, episode, stop)
+        # Each group draws the stage's t_gtrain batches from a stream of its own.
+        streams = [itertools.islice(stream, self.config.t_gtrain) for stream in
+                   [batches] + [self.batches(episode, 2) for _ in self.groups[1:]]]
+        args = (self.config.alpha2, self.frozen(), self.y_g, episode, stop)
         # The first (largest) group runs on this thread.
-        rest = [pool.submit(_member_group_steps, group, *args) for group in self.groups[1:]]
+        rest = [pool.submit(_member_group_steps, group, stream, *args)
+                for group, stream in zip(self.groups[1:], streams[1:])]
         try:
-            failures = [_member_group_steps(self.groups[0], *args)]
+            failures = [_member_group_steps(self.groups[0], streams[0], *args)]
             failures += [future.result() for future in rest]
         except BaseException:  # e.g. KeyboardInterrupt: do not wait for the rest
             stop.set()
@@ -462,8 +475,7 @@ def train(dataset, config, stage_hook=None):
             if stage_hook is not None:
                 stage_hook("start", episode, stage, state.gen, state.cls, state.ensemble)
             started = time.monotonic()
-            run(pool, episode, balanced_batches(state.y_g, config.batch_size,
-                                                state.seed(NS_BATCHES, episode, stage)))
+            run(pool, episode, state.batches(episode, stage))
             seconds[stage] = seconds.get(stage, 0.0) + time.monotonic() - started
             if stage_hook is not None:
                 stage_hook("end", episode, stage, state.gen, state.cls, state.ensemble)

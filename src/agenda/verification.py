@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataio import format_float, refuse_oversized, rng, split_by_identity, write_csv_report
 from .errors import DataFormatError, DimensionError, ValidationError
+from .linalg import blas_threads, in_processes
 from .probe import probe_eval, probe_train
 
 GROUP_NAMES = {0: "female", 1: "male"}
@@ -271,6 +272,7 @@ def write_report_csv(report, path, comments=()):
     write_csv_report(path, lines, ("fpr", "tpr_m", "tpr_f", "bias"), rows)
 
 
+@blas_threads(1)
 def ablation_sweep(dataset, fits, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
                    seed=0, probe_fraction=0.3):
     """Fit each variant on one side of an identity split, read it on the other.
@@ -283,18 +285,26 @@ def ablation_sweep(dataset, fits, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
     read on the held-out side re-embedded, and TPR is read on one pair
     protocol drawn from the held-out side, so each group there needs two
     identities, one of them with two records.
+    Each row (fit, re-embedding, evaluation and probe) runs in a forked
+    child, at most one per usable core at a time, each pinned to its share
+    of the cores, so a training row runs ``trainer.thread_plan``'s workers
+    on that share (``linalg.in_processes``). BLAS runs on one thread, as in
+    ``sweep``, so the rows do not depend on the caller's thread count, and a
+    child pinned to one core never runs two BLAS threads on it.
     Returns rows of (label, tpr_m, tpr_f, bias, probe_accuracy_pct).
     """
     check_fpr_targets((fpr,))  # before the first variant is fit
     fit_idx, held_idx = split_by_identity(dataset, probe_fraction, seed)
     fit_set, held_out = dataset.subset(fit_idx), dataset.subset(held_idx)
     protocol = make_pairs(held_out, impostor_ratio, seed)
-    rows = []
-    for label, fit in fits:
+
+    def row(variant):
+        label, fit = variant
         remap = fit(fit_set)
         embedded = remap(held_out)
         report = evaluate(embedded, protocol, (fpr,))
         probe_report = probe_eval(probe_train(remap(fit_set)), embedded)
-        rows.append((label, report.per_group[1][0].tpr, report.per_group[0][0].tpr,
-                     report.bias[0], probe_report.overall_accuracy))
-    return rows
+        return (label, report.per_group[1][0].tpr, report.per_group[0][0].tpr,
+                report.bias[0], probe_report.overall_accuracy)
+
+    return in_processes(row, fits)

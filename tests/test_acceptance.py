@@ -11,7 +11,8 @@ import functools
 import numpy as np
 import pytest
 
-from agenda import corrpca, dataio, losses, nets, probe, synthgen, tpe, trainer, verification
+from agenda import (corrpca, dataio, linalg, losses, nets, probe, synthgen, tpe, trainer,
+                    verification)
 from conftest import (
     read_eval_rows,
     read_probe_accuracy,
@@ -405,17 +406,21 @@ class TestCriterion3Leakage:
 class TestCriterion4Bias:
     def test_bias_not_increased_tpr_stable(self):
         fpr = 1e-3
-        befores, afters = [], []
-        tpr_before = {0: [], 1: []}
-        tpr_after = {0: [], 1: []}
-        for seed in (41, 42, 43):
+
+        def reports(seed):  # eval before and after training, on one seed's corpus
             spec = synthgen.SynthSpec(female_noise_scale=1.5, seed=seed)
             ds, _ = synthgen.generate(spec)
             protocol = verification.make_pairs(ds, impostor_ratio=2.0, seed=seed)
             before = verification.evaluate(ds, protocol, (fpr,))
             cfg = dataclasses.replace(trainer.TrainConfig(), seed=seed)
             gen, _, _, _ = trainer.train(ds, cfg)
-            after = verification.evaluate(trainer.transform(gen, ds), protocol, (fpr,))
+            return before, verification.evaluate(trainer.transform(gen, ds), protocol, (fpr,))
+
+        befores, afters = [], []
+        tpr_before = {0: [], 1: []}
+        tpr_after = {0: [], 1: []}
+        # the seeds are independent: one child process each, as a sweep's grid points
+        for before, after in linalg.in_processes(reports, (41, 42, 43)):
             befores.append(before.bias[0])
             afters.append(after.bias[0])
             for group in (0, 1):

@@ -1,5 +1,7 @@
 
 import functools
+import itertools
+import os
 
 import numpy as np
 import pytest
@@ -319,33 +321,37 @@ def _same(fit_set):
 class TestAblationSweep:
     """Each variant is fit on one side of an identity split and read on the other."""
 
-    def test_fits_see_the_fitting_side_and_reads_the_held_out_side(self, monkeypatch):
+    def test_fits_see_the_fitting_side_and_reads_the_held_out_side(self, monkeypatch,
+                                                                    tmp_path):
         ds, _ = tiny_corpus(n_identities=24)
         fit_idx, held_idx = dataio.split_by_identity(ds, 0.3, 4)
-        seen = {"fit": []}
+        calls = itertools.count()
+
+        def record(name, vectors):  # one file per call: rows run in child processes
+            np.save(tmp_path / ("%s-%d-%d.npy" % (name, os.getpid(), next(calls))), vectors)
 
         def fit(fit_set):
-            seen["fit"].append(fit_set.vectors)
+            record("fit", fit_set.vectors)
             return lambda data: data
 
         # the position of the dataset argument of each call the sweep makes
         for name, at in (("make_pairs", 0), ("evaluate", 0), ("probe_train", 0),
                          ("probe_eval", 1)):
             def wrapper(*args, real=getattr(verification, name), name=name, at=at):
-                seen[name].append(args[at].vectors)
+                record(name, args[at].vectors)
                 return real(*args)
 
-            seen[name] = []
             monkeypatch.setattr(verification, name, wrapper)
         rows = verification.ablation_sweep(ds, [("a", fit), ("b", fit)], 0.1, seed=4,
                                            probe_fraction=0.3)
         assert [row[0] for row in rows] == ["a", "b"]
         fitting, held_out = ds.vectors[fit_idx], ds.vectors[held_idx]
-        for name, side, calls in (("fit", fitting, 2), ("probe_train", fitting, 2),
+        for name, side, count in (("fit", fitting, 2), ("probe_train", fitting, 2),
                                   ("make_pairs", held_out, 1), ("evaluate", held_out, 2),
                                   ("probe_eval", held_out, 2)):
-            assert len(seen[name]) == calls, name
-            assert all(np.array_equal(vectors, side) for vectors in seen[name]), name
+            seen = [np.load(path) for path in tmp_path.glob(name + "-*.npy")]
+            assert len(seen) == count, name
+            assert all(np.array_equal(vectors, side) for vectors in seen), name
 
     def test_corrpca_probe_reads_chance_on_the_baselines_corpus(self):
         # The 160-d baselines corpus at seed 501. Fitting corrpca on the
