@@ -16,11 +16,16 @@ import ctypes
 import functools
 import os
 import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
+
+PR_SET_PDEATHSIG = 1  # prctl(2) option: the signal a process gets when its parent ends
 
 
 @functools.cache
@@ -71,46 +76,62 @@ def in_processes(fn, units):
     caller's stack. The results come back in unit order. A failure raises
     the lowest-index unit's exception, as the loop would, and stops the
     units after it. On any exception here, an interrupt included, every
-    child is killed and reaped. With one usable core or one unit, or
-    without ``sched_setaffinity``, the calls run in this process. Fork only
-    where no thread pool is alive: a child has only the calling thread. A
-    child keeps the caller's BLAS thread count, so run BLAS on no more
-    threads than a child's share: a probe fit on two BLAS threads pinned to
-    one core took 12 times as long as on one.
+    child is killed and reaped; a child also dies with this process if it
+    is killed outright (``PR_SET_PDEATHSIG``). With one usable core or one
+    unit, without ``sched_setaffinity``, or with another Python thread
+    alive, the calls run in this process. A child keeps the caller's BLAS
+    thread count, so run BLAS on no more threads than a child's share: a
+    probe fit on two BLAS threads pinned to one core took 12 times as long
+    as on one.
     """
     units = list(units)
     cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     running = min(len(cores), len(units))
-    if running < 2:
+    if running < 2 or threading.active_count() > 1:
         return [fn(unit) for unit in units]
-    import select  # only the process path needs these
-    import signal
+    import select  # only the process path needs it
 
     share = len(cores) // running
     free = [cores[slot * share:(slot + 1) * share] for slot in range(running)]
     queue, children, outcomes = list(enumerate(units))[::-1], {}, {}
+    parent = os.getpid()
+
+    def start(index, unit, cpus):
+        with _signals_held() as mask:
+            read, write = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork while another thread lives.
+                    # The only ones here can be OpenBLAS's workers (no other
+                    # Python thread is alive, checked above); OpenBLAS stops
+                    # them in its own fork handler, and a child starts its
+                    # own on first use.
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(fn, unit, cpus, (read, write), mask, parent)
+            children[read] = (index, pid, cpus, [])
+            os.close(write)
 
     def stop(after):  # start no unit past ``after``; kill and reap those running
         queue[:] = [item for item in queue if item[0] <= after]
-        for fd, (index, pid, _, _) in list(children.items()):
-            if index > after:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(fd)
-                del children[fd]
+        with _signals_held():
+            for fd, (index, pid, _, _) in list(children.items()):
+                if index > after:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    os.close(fd)
+                    del children[fd]
 
     try:
         while queue or children:
             while queue and free:
-                index, unit = queue.pop()
-                cpus = free.pop()
-                read, write = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    os.close(read)
-                    _child(fn, unit, cpus, write)
-                children[read] = (index, pid, cpus, [])
-                os.close(write)
+                start(*queue.pop(), free.pop())
             for fd in select.select(list(children), [], [])[0]:
                 index, pid, cpus, chunks = children[fd]
                 chunks.append(os.read(fd, 1 << 20))
@@ -137,17 +158,37 @@ def in_processes(fn, units):
     return results
 
 
-def _child(fn, unit, cpus, write):
-    """One ``in_processes`` child: ``fn(unit)`` on ``cpus``, its result or
-    exception pickled to ``write``. It never returns."""
+@contextlib.contextmanager
+def _signals_held():
+    """Every signal waits until the body ends, so an interrupt cannot fall
+    between a fork and the child's registration, or in a cleanup. Yields
+    the mask in force before."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
     try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a held signal is handled here
+
+
+def _child(fn, unit, cpus, pipe, mask, parent):
+    """One ``in_processes`` child: ``fn(unit)`` on ``cpus``, its result or
+    exception pickled to the write end of ``pipe``. It never returns."""
+    try:
+        read, write = pipe
+        os.close(read)
+        # Killed with the parent, even by SIGKILL. A parent that ended before
+        # this call sends no signal, so end here.
+        ctypes.CDLL(None).prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.sched_setaffinity(0, cpus)
         try:
             payload = pickle.dumps((True, fn(unit)))
         except BaseException as exc:
             payload = pickle.dumps((False, exc))
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
+        with open(write, "wb") as out:
+            out.write(payload)
     finally:
         os._exit(0)
 

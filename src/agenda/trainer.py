@@ -384,7 +384,9 @@ class TrainState:
         return np.random.SeedSequence(self.config.seed, spawn_key=key)
 
     def batches(self, episode, stage):
-        """The stage's batch stream; every call starts the same stream over."""
+        """The stage's batch stream; every call starts the same stream over.
+        A stage method gets it bound to its episode and stage, as
+        ``batch_stream``, and draws from ``batch_stream()``."""
         return balanced_batches(self.y_g, self.config.batch_size,
                                 self.seed(NS_BATCHES, episode, stage))
 
@@ -404,31 +406,29 @@ class TrainState:
             self.f_train = _generate(self.gen, self.dataset.vectors, self.train_idx)
         return self.f_train
 
-    def _class_stage(self, pool, episode, stage, batches, steps, lr, **deb):
+    def _class_stage(self, pool, episode, stage, batch_stream, steps, lr, **deb):
         self.f_train = None  # the generator is about to move
         adam_gen, adam_cls = nets.AdamState(lr=lr), nets.AdamState(lr=lr)
-        for n in range(steps):
-            idx = next(batches)
+        for n, idx in zip(range(steps), batch_stream()):
             row = _class_step(pool, self.gen, self.cls, adam_gen, adam_cls,
                               self.dataset.vectors[self.train_idx[idx]], self.y_id[idx],
                               (stage, episode, n), **deb)
             self.log.append(episode=episode, stage=stage, iteration=n, **row)
 
-    def warm_up(self, pool, episode, batches):
-        self._class_stage(pool, episode, 1, batches, self.config.t_fc, self.config.alpha1)
+    def warm_up(self, pool, episode, batch_stream):
+        self._class_stage(pool, episode, 1, batch_stream, self.config.t_fc, self.config.alpha1)
 
-    def debias(self, pool, episode, batches):
-        self._class_stage(pool, episode, 3, batches, self.config.t_deb, self.config.alpha3,
+    def debias(self, pool, episode, batch_stream):
+        self._class_stage(pool, episode, 3, batch_stream, self.config.t_deb, self.config.alpha3,
                           ensemble=self.ensemble, lam=self.config.lam)
 
-    def train_members(self, pool, episode, batches):
+    def train_members(self, pool, episode, batch_stream):
         # Refilled in place, so a hook that keeps the object sees every update.
         self.ensemble.flat[:] = nets.init_ensemble(
             self.config.k, self.seed(NS_INIT_E, episode // self.config.t_ep)).flat
         stop = threading.Event()
         # Each group draws the stage's t_gtrain batches from a stream of its own.
-        streams = [itertools.islice(stream, self.config.t_gtrain) for stream in
-                   [batches] + [self.batches(episode, 2) for _ in self.groups[1:]]]
+        streams = [itertools.islice(batch_stream(), self.config.t_gtrain) for _ in self.groups]
         args = (self.config.alpha2, self.frozen(), self.y_g, episode, stop)
         # The first (largest) group runs on this thread.
         rest = [pool.submit(_member_group_steps, group, stream, *args)
@@ -443,11 +443,12 @@ class TrainState:
             raise _stack_failure([failure for failure in failures if failure])
         self.log.records += [LogRecord(episode, 2, n) for n in range(self.config.t_gtrain)]
 
-    def retrain_member(self, pool, episode, batches):
+    def retrain_member(self, pool, episode, batch_stream):
         k = episode % self.config.k
         member = self.ensemble.members[k]
         adam = nets.AdamState(lr=self.config.alpha2)
         f_val = _generate(self.gen, self.dataset.vectors, self.val_idx)
+        batches = batch_stream()
         for n in range(self.config.t_plat):
             val_out, _ = nets.discriminator_forward(member, f_val)
             acc = float(np.mean(np.argmax(val_out, axis=1) == self.val_attrs))
@@ -475,7 +476,7 @@ def train(dataset, config, stage_hook=None):
             if stage_hook is not None:
                 stage_hook("start", episode, stage, state.gen, state.cls, state.ensemble)
             started = time.monotonic()
-            run(pool, episode, state.batches(episode, stage))
+            run(pool, episode, functools.partial(state.batches, episode, stage))
             seconds[stage] = seconds.get(stage, 0.0) + time.monotonic() - started
             if stage_hook is not None:
                 stage_hook("end", episode, stage, state.gen, state.cls, state.ensemble)

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ def run_cli_on_one_core(*argv):
     proc = subprocess.run([sys.executable, "-c", script, *[str(a) for a in argv]],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def alive(pid):
+    """Whether ``pid`` runs: neither gone nor a zombie left for its reaper."""
+    try:
+        with open("/proc/%d/stat" % pid) as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def assert_no_child_left():
@@ -122,6 +132,68 @@ class TestRunner:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         assert_no_child_left()
+
+    def test_fork_warning_of_newer_pythons_is_not_an_error(self, monkeypatch):
+        # Python 3.12+ warns in the parent, after the fork, when the process
+        # has other threads (OpenBLAS's workers); under "error" filters that
+        # raise would lose the child.
+        require_two_cores()
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process (pid=%d) is multi-threaded, use of fork() may "
+                              "lead to deadlocks in the child." % os.getpid(), DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        assert linalg.in_processes(lambda u: u * 2, range(3)) == [0, 2, 4]
+        assert_no_child_left()
+
+    def test_failed_fork_leaves_no_child_or_descriptor(self, monkeypatch):
+        require_two_cores()
+        fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        def unit(u):
+            time.sleep(30)
+
+        descriptors = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        with pytest.raises(BlockingIOError):
+            linalg.in_processes(unit, range(3))
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert_no_child_left()
+
+    def test_children_die_with_a_killed_parent(self, tmp_path):
+        require_two_cores()
+        script = ("import os, pathlib, sys, time; from agenda import linalg\n"
+                  "def unit(u):\n"
+                  "    path = pathlib.Path(sys.argv[1], '%d.tmp' % u)\n"
+                  "    path.write_text(str(os.getpid()))\n"
+                  "    path.replace(path.with_suffix('.pid'))\n"
+                  "    time.sleep(30)\n"
+                  "linalg.in_processes(unit, range(2))\n")
+        parent = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)])
+        try:
+            deadline = time.monotonic() + 20
+            while len(list(tmp_path.glob("*.pid"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            pids = [int(path.read_text()) for path in tmp_path.glob("*.pid")]
+            assert len(pids) == 2
+        finally:
+            parent.kill()
+            parent.wait()
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(alive(pid) for pid in pids)
 
 
 @pytest.fixture(scope="module")
