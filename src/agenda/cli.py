@@ -34,11 +34,13 @@ records the worker count and each stage's wall seconds (``stage_seconds``).
 ``tpe --train`` runs each repeat, and ``sweep`` each grid point or compared
 method, as a forked child: at most one per usable core at a time, each
 pinned to ``cores // children`` cores, so a training child runs on one
-worker thread on a two-core machine (``linalg.in_processes``). The parent
-combines the results in unit order, so the outputs are the bytes of one
-process running the units in turn, and a child's error exits as it would
-in process. Peak RSS is per process; the summed peak of the children is
-the figure that meets the machine's memory.
+worker thread on a two-core machine; a unit left alone on one core runs
+last in process, on every core (``linalg.in_processes``). The parent takes
+the results in unit order, so the outputs are the bytes of one process
+running the units in turn, and a child's error exits as it would in
+process; a child the out-of-memory killer ends exits 4 as ``MemoryError``.
+Peak RSS is per process; the summed peak of the children is the figure
+that meets the machine's memory.
 """
 
 import argparse

@@ -70,42 +70,40 @@ def in_processes(fn, units):
     """``[fn(unit) for unit in units]``, each call in a forked child.
 
     At most ``min(cores, len(units))`` children run at once, each pinned to
-    ``cores // running`` of the usable cores, so a ``trainer.thread_plan``
-    inside it sees its share. A child pickles its result or its exception
-    to a pipe and ends with ``os._exit``: it never returns into the
-    caller's stack. The results come back in unit order. A failure raises
-    the lowest-index unit's exception, as the loop would, and stops the
-    units after it. On any exception here, an interrupt included, every
-    child is killed and reaped; a child also dies with this process if it
-    is killed outright (``PR_SET_PDEATHSIG``). With one usable core or one
-    unit, without ``sched_setaffinity``, or with another Python thread
-    alive, the calls run in this process. A child keeps the caller's BLAS
-    thread count, so run BLAS on no more threads than a child's share: a
-    probe fit on two BLAS threads pinned to one core took 12 times as long
-    as on one.
+    ``cores // running`` of the usable cores, so ``trainer.thread_plan`` in
+    a child sees its share. A unit left alone on one core when
+    ``len(units) % cores == 1`` runs last, in this process, on every core.
+    A child pickles its result or exception to a pipe and ends with
+    ``os._exit``, never returning into the caller's stack. In unit order,
+    the parent reads a child's pipe to its end, reaps it, gives its cores to
+    the next unit and raises the first failure; a child killed by SIGKILL,
+    the out-of-memory killer's signal, raises ``MemoryError``. On any
+    exception here every running child is killed and reaped, and a child
+    dies with this process if it is killed outright (``PR_SET_PDEATHSIG``).
+    With one usable core or unit, without ``sched_setaffinity``, or with
+    another Python thread alive, the calls run here. A child keeps the
+    caller's BLAS thread count: two on one core made a probe 12 times slower.
     """
     units = list(units)
     cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     running = min(len(cores), len(units))
     if running < 2 or threading.active_count() > 1:
         return [fn(unit) for unit in units]
-    import select  # only the process path needs it
-
+    if len(units) > len(cores) and len(units) % len(cores) == 1:
+        return in_processes(fn, units[:-1]) + [fn(units[-1])]
     share = len(cores) // running
     free = [cores[slot * share:(slot + 1) * share] for slot in range(running)]
-    queue, children, outcomes = list(enumerate(units))[::-1], {}, {}
+    queue, children, results = units[::-1], [], []  # children: (pid, read end, cpus)
     parent = os.getpid()
 
-    def start(index, unit, cpus):
+    def start(unit, cpus):
         with _signals_held() as mask:
             read, write = os.pipe()
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on a fork while another thread lives.
-                    # The only ones here can be OpenBLAS's workers (no other
-                    # Python thread is alive, checked above); OpenBLAS stops
-                    # them in its own fork handler, and a child starts its
-                    # own on first use.
+                    # Only OpenBLAS's workers can (checked above): its fork
+                    # handler stops them, and a child starts its own on first use.
                     warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                             DeprecationWarning)
                     pid = os.fork()
@@ -115,46 +113,35 @@ def in_processes(fn, units):
                 raise
             if pid == 0:
                 _child(fn, unit, cpus, (read, write), mask, parent)
-            children[read] = (index, pid, cpus, [])
+            children.append((pid, read, cpus))
             os.close(write)
 
-    def stop(after):  # start no unit past ``after``; kill and reap those running
-        queue[:] = [item for item in queue if item[0] <= after]
-        with _signals_held():
-            for fd, (index, pid, _, _) in list(children.items()):
-                if index > after:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    os.close(fd)
-                    del children[fd]
-
     try:
-        while queue or children:
+        for index in range(len(units)):
             while queue and free:
-                start(*queue.pop(), free.pop())
-            for fd in select.select(list(children), [], [])[0]:
-                index, pid, cpus, chunks = children[fd]
-                chunks.append(os.read(fd, 1 << 20))
-                if chunks[-1]:
-                    continue
-                del children[fd]
-                os.close(fd)
-                os.waitpid(pid, 0)
+                start(queue.pop(), free.pop())
+            pid, read, cpus = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            with _signals_held():
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                os.close(read)
+                del children[0]
                 free.append(cpus)
-                if not chunks[0]:
-                    raise ChildProcessError("unit %d ended without a result" % index)
-                outcomes[index] = pickle.loads(b"".join(chunks))
-                if not outcomes[index][0]:
-                    stop(index)
-                    break  # ``stop`` may have closed a ready descriptor
+            if code == -signal.SIGKILL:
+                raise MemoryError("unit %d was killed by SIGKILL" % index)
+            if code or not payload:
+                raise ChildProcessError("unit %d ended without a result, status %d" % (index, code))
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
     finally:
-        stop(-1)
-    results = []
-    for index in range(len(units)):
-        ok, value = outcomes[index]
-        if not ok:
-            raise value
-        results.append(value)
+        with _signals_held():
+            for pid, read, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
     return results
 
 

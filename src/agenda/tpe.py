@@ -15,9 +15,10 @@ spawned off the run seed (spawn key ``(r,)``) and averages them
 element-wise, with BLAS on one thread (``linalg.blas_threads``) so the
 matrix bytes do not depend on the caller's thread count. The repeats run
 as forked children, at most one per usable core at a time, each pinned to
-its share of the cores (``linalg.in_processes``). The parent sums their
-matrices in repeat order, so the bytes are those of one process running
-them in turn. Each child holds its own working set: peak RSS is per process.
+its share of the cores; a repeat left alone on one core runs last in this
+process (``linalg.in_processes``). The parent takes and sums the matrices
+in repeat order, so the bytes are those of one process running them in
+turn. Each child holds its own working set: peak RSS is per process.
 """
 
 import struct

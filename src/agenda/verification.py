@@ -288,7 +288,8 @@ def ablation_sweep(dataset, fits, fpr, impostor_ratio=DEFAULT_IMPOSTOR_RATIO,
     Each row (fit, re-embedding, evaluation and probe) runs in a forked
     child, at most one per usable core at a time, each pinned to its share
     of the cores, so a training row runs ``trainer.thread_plan``'s workers
-    on that share (``linalg.in_processes``). BLAS runs on one thread, as in
+    on that share; a row left alone on one core runs last in this process,
+    on every core (``linalg.in_processes``). BLAS runs on one thread, as in
     ``sweep``, so the rows do not depend on the caller's thread count, and a
     child pinned to one core never runs two BLAS threads on it.
     Returns rows of (label, tpr_m, tpr_f, bias, probe_accuracy_pct).

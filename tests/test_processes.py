@@ -68,15 +68,44 @@ def test_every_error_round_trips_through_pickle(cls):
 class TestRunner:
     def test_results_in_unit_order_from_pinned_children(self):
         require_two_cores()
+        count = 2 * len(cores())  # a second unit queued behind each core
 
         def unit(u):
-            time.sleep(0.05 * (3 - u))  # later units finish first
+            time.sleep(0.05 * (count - u))  # later units finish first
             return u, os.getpid(), len(os.sched_getaffinity(0))
 
-        results = linalg.in_processes(unit, range(3))
-        assert [r[0] for r in results] == [0, 1, 2]
+        results = linalg.in_processes(unit, range(count))
+        assert [r[0] for r in results] == list(range(count))
         assert os.getpid() not in [r[1] for r in results]
-        assert [r[2] for r in results] == [len(cores()) // min(len(cores()), 3)] * 3
+        assert [r[2] for r in results] == [1] * count
+        assert_no_child_left()
+
+    def test_a_leftover_unit_runs_here_on_every_core(self):
+        require_two_cores()
+
+        def unit(u):
+            return os.getpid(), len(os.sched_getaffinity(0))
+
+        results = linalg.in_processes(unit, range(len(cores()) + 1))
+        assert os.getpid() not in [pid for pid, _ in results[:-1]]
+        assert [n for _, n in results[:-1]] == [1] * len(cores())
+        assert results[-1] == (os.getpid(), len(cores()))
+        assert_no_child_left()
+
+    def test_a_large_result_waits_intact_for_its_turn(self):
+        # Unit 1's result fills its pipe, so that child blocks in its write
+        # until unit 0 is collected and unit 1's pipe is read.
+        require_two_cores()
+
+        def unit(u):
+            if u == 0:
+                time.sleep(0.3)
+                return u
+            return np.arange(2 ** 18, dtype=np.float64)  # 2 MiB
+
+        first, second = linalg.in_processes(unit, range(2))
+        assert first == 0
+        np.testing.assert_array_equal(second, np.arange(2 ** 18, dtype=np.float64))
         assert_no_child_left()
 
     def test_one_unit_runs_in_this_process(self):
@@ -106,6 +135,24 @@ class TestRunner:
 
         with pytest.raises(MemoryError):
             linalg.in_processes(unit, range(3))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("end, raised, message", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), MemoryError,
+         "unit 1 was killed by SIGKILL"),
+        (lambda: os._exit(3), ChildProcessError, "unit 1 ended without a result, status 3"),
+    ], ids=["SIGKILL", "exit 3"])
+    def test_a_child_that_ends_without_a_result(self, end, raised, message):
+        # SIGKILL is the out-of-memory killer's signal: the CLI then exits 4
+        # as MemoryError, as it does for a refused allocation in process.
+        require_two_cores()
+
+        def unit(u):
+            return end() if u == 1 else u
+
+        with pytest.raises(raised) as caught:
+            linalg.in_processes(unit, range(2))
+        assert type(caught.value) is raised and str(caught.value) == message
         assert_no_child_left()
 
     def test_interrupt_kills_and_reaps_every_child(self, tmp_path):

@@ -9,7 +9,11 @@ PARENT and CHANGE are repository roots; each round runs ``agenda`` from
 that root's ``src/``. A round writes the workload's spec and train config
 (and its pair CSV, after synthesis), then runs the synth argv and the
 workload's ``steps(seed)``, all taken from this repository's
-``perfbench/workloads.py``. The rounds run in ``WORK/parent`` and
+``perfbench/workloads.py``. The ``units`` round, defined here and not in
+the benchmark, runs every caller of ``linalg.in_processes`` on the desk
+corpus under a short train schedule: ``tpe --train`` with an odd repeat
+count, ``sweep`` over three lambdas and two ks, and ``sweep --compare``.
+The rounds run in ``WORK/parent`` and
 ``WORK/change`` (``--work``, default ``.compare_work``), which are kept for
 inspection and replaced by the next run. Manifests are compared as JSON
 without their timings (``wall_time_s``, ``stage_seconds``); every other file
@@ -28,6 +32,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMINGS = ("wall_time_s", "stage_seconds")
+UNITS_CONFIG = dict(n_ep=2, t_fc=200, t_gtrain=60, t_deb=20, t_plat=30)
+
+
+def _units_steps(seed):
+    sweep = ["sweep", "--data", "corpus.fds", "--config", "train.cfg", "--seed", str(seed)]
+    return [
+        ("tpe_train", ["tpe", "--train", "corpus.fds", "--out", "embed.tpe", "--repeats", "3",
+                       "--iterations", "200", "--seed", str(seed)]),
+        ("sweep_lambdas", sweep + ["--lambdas", "0.1,1,10", "--report", "lambdas.csv"]),
+        ("sweep_ks", sweep + ["--ks", "1,2", "--report", "ks.csv"]),
+        ("sweep_compare", sweep + ["--compare", "--report", "compare.csv"]),
+    ]
+
+
+def rounds(workloads):
+    """Every round by name: the benchmark's workloads and ``units``."""
+    units = workloads.Workload("units", "every linalg.in_processes caller",
+                               workloads.DESK_SPEC, _units_steps, checks=None,
+                               config=UNITS_CONFIG)
+    return dict(workloads.WORKLOADS, units=units)
 
 
 def _manifest(path):
@@ -81,12 +105,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="repository root of the first tree")
     parser.add_argument("change", help="repository root of the second tree")
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    workload_rounds = rounds(workloads)
+    parser.add_argument("--workload", required=True, choices=sorted(workload_rounds))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--work", type=Path, default=Path(".compare_work"),
                         help="directory of the two kept rounds (default %(default)s)")
     args = parser.parse_args(argv)
-    workload = workloads.WORKLOADS[args.workload]
+    workload = workload_rounds[args.workload]
     try:
         for side in ("parent", "change"):
             run_round(getattr(args, side), args.work / side, workload, args.seed)
