@@ -78,7 +78,7 @@ def fit(dataset, delta=DEFAULT_DELTA):
 
 def project(subspace, dataset):
     """Center and project descriptors onto the retained subspace."""
-    return dataset.remap("subspace", subspace.input_dim,
+    return dataset.remap("subspace", (subspace.input_dim, subspace.retained_count),
                          lambda x: (x - subspace.mean) @ subspace.retained_vectors.T)
 
 

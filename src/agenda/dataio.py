@@ -8,8 +8,9 @@ Dataset file layout (all little-endian):
     dim     u32      vector length
     records count x (identity u64, attribute u8, vector dim x f32)
 
-Vectors are stored as float32 and widened to float64 in memory; training
-math runs in 64-bit while files stay half-size. Every producer in the
+Vectors are stored as float32 and stay float32 in memory once read. Every
+computation widens the rows it reads to float64 (exactly), a batch or a block
+at a time, so no step holds a float64 copy of its input. Every producer in the
 package writes this one format, so stages compose on the CLI regardless of
 where a dataset came from. The fitted maps (generator, corrpca subspace,
 TPE matrix) all re-embed a dataset through :meth:`DescriptorDataset.remap`.
@@ -40,6 +41,8 @@ _HEADER = struct.Struct("<4sIQI")
 # headers fail fast instead of exhausting memory.
 DEFAULT_MAX_BYTES = 8 << 30
 
+ROW_CHUNK = 1024  # rows per block in whole-dataset passes
+
 
 @dataclass
 class DescriptorDataset:
@@ -50,12 +53,13 @@ class DescriptorDataset:
 
     identities: np.ndarray  # (n,) uint64
     attributes: np.ndarray  # (n,) uint8, values in {0, 1}
-    vectors: np.ndarray  # (n, dim) float64
+    vectors: np.ndarray  # (n, dim) float32 as read from a file, else float64
 
     def __post_init__(self):
         self.identities = np.ascontiguousarray(self.identities, dtype=np.uint64)
         self.attributes = np.ascontiguousarray(self.attributes, dtype=np.uint8)
-        self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        wide = np.asarray(self.vectors).dtype != np.float32  # float32 is kept as read
+        self.vectors = np.ascontiguousarray(self.vectors, np.float64 if wide else np.float32)
         if self.vectors.ndim != 2:
             raise DimensionError("vectors must be 2-d (records x dim)")
         n = self.vectors.shape[0]
@@ -80,12 +84,17 @@ class DescriptorDataset:
             self.identities[indices], self.attributes[indices], self.vectors[indices]
         )
 
-    def remap(self, what, in_dim, fn):
-        """Records mapped by ``fn`` (map ``what``, ``in_dim`` wide); labels shared, never mutated."""
-        if self.dim != in_dim:
+    def remap(self, what, shape, fn):
+        """Records mapped by ``fn`` (map ``what``, (in, out) dims ``shape``), fed
+        float64 blocks of ``ROW_CHUNK`` rows; labels shared, never mutated."""
+        if self.dim != shape[0]:
             raise DimensionError("dataset dim %d does not match %s input dim %d"
-                                 % (self.dim, what, in_dim))
-        return DescriptorDataset(self.identities, self.attributes, fn(self.vectors))
+                                 % (self.dim, what, shape[0]))
+        out = np.empty((self.n, shape[1]))
+        for start in range(0, self.n, ROW_CHUNK):
+            block = slice(start, start + ROW_CHUNK)
+            out[block] = fn(self.vectors[block].astype(np.float64))
+        return DescriptorDataset(self.identities, self.attributes, out)
 
 
 def _record_dtype(dim):
@@ -97,7 +106,7 @@ def _record_dtype(dim):
 def write_dataset(dataset, path):
     """Write ``dataset`` to ``path``; vectors are narrowed to float32."""
     with np.errstate(over="ignore"):  # refused just below
-        vec32 = dataset.vectors.astype(np.float32)
+        vec32 = dataset.vectors.astype(np.float32, copy=False)
     if not np.all(np.isfinite(vec32)):
         raise ValidationError("vectors overflow float32 storage")
     records = np.empty(dataset.n, dtype=_record_dtype(dataset.dim))
@@ -212,7 +221,7 @@ def read_dataset(path):
     records = raw.view(_record_dtype(dim))
     if np.any(records["attribute"] > 1):
         raise DataFormatError("bad_attribute", "attribute byte outside {0, 1}")
-    vectors = records["vector"].astype(np.float64)
+    vectors = np.ascontiguousarray(records["vector"])
     if not np.all(np.isfinite(vectors)):
         raise DataFormatError("nonfinite", "dataset contains non-finite vector entries")
     return DescriptorDataset(records["identity"], records["attribute"], vectors)

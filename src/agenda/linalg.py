@@ -1,9 +1,10 @@
 """Dense covariance, symmetric eigendecomposition, rank correlation, and
 the BLAS thread policy.
 
-Everything here operates on plain float64 numpy arrays. The eigensolver is
-LAPACK's symmetric solver through numpy, with eigenvalues sorted descending
-and eigenvector signs fixed so that output files are reproducible.
+Everything here computes in float64; ``covariance`` also reads float32 rows,
+widening them as it centres them. The eigensolver is LAPACK's symmetric
+solver through numpy, with eigenvalues sorted descending and eigenvector
+signs fixed so that output files are reproducible.
 
 A multi-threaded BLAS may split a product or a factorization differently at
 each thread count, and LAPACK's ``eigh`` then returns different low-order
@@ -188,13 +189,13 @@ def covariance(x):
     same way. The result is symmetrized exactly so the eigensolver never
     sees rounding skew.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise DimensionError("covariance expects a 2-d array, got ndim=%d" % x.ndim)
     if x.shape[0] < 2:
         raise DimensionError("covariance needs at least 2 rows, got %d" % x.shape[0])
-    mean = x.mean(axis=0)
-    centered = x - mean
+    mean = x.mean(axis=0, dtype=np.float64)
+    centered = x - mean  # float64 whatever the rows' precision
     cov = centered.T @ centered / (x.shape[0] - 1)
     cov = (cov + cov.T) / 2.0
     return cov, mean

@@ -42,15 +42,15 @@ class ProbeReport:
 def probe_train(dataset, epochs=DEFAULT_EPOCHS, rate=DEFAULT_RATE, l2=DEFAULT_L2):
     """Fit the probe on ``dataset``; caller is responsible for keeping the
     evaluation split identity-disjoint from this one. The standardized
-    features are one copy of ``dataset.vectors``, centred and scaled in
-    place. Raises :class:`NumericError` if the descent diverges."""
+    features are one float64 copy of ``dataset.vectors``, centred and scaled
+    in place. Raises :class:`NumericError` if the descent diverges."""
     if epochs < 1 or not rate > 0 or not l2 >= 0:
         raise ValidationError("probe needs epochs >= 1, rate > 0 and l2 >= 0")
     y = dataset.attributes.astype(np.float64)
     if len(np.unique(dataset.attributes)) < 2:
         raise ValidationError("probe training needs both attribute classes")
-    mean = dataset.vectors.mean(axis=0)
-    std = dataset.vectors.std(axis=0)
+    mean = dataset.vectors.mean(axis=0, dtype=np.float64)
+    std = dataset.vectors.std(axis=0, dtype=np.float64)
     std = np.where(std == 0.0, 1.0, std)
     xs = dataset.vectors - mean  # the one working copy, standardized in place
     xs /= std

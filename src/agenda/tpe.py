@@ -111,7 +111,7 @@ def tpe_train_single(dataset, decomp, iterations, rate, batch, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
             ia, ip, in_ = sampler.sample(batch, triplets)
-            a, p, n = x[ia], x[ip], x[in_]
+            a, p, n = (x[rows].astype(np.float64, copy=False) for rows in (ia, ip, in_))
             ea, ep, en = a @ w, p @ w, n @ w
             d = np.einsum("ij,ij->i", ea, en) - np.einsum("ij,ij->i", ea, ep)
             coef = (1.0 / (1.0 + np.exp(-d)) / batch)[:, None]
@@ -146,7 +146,7 @@ def tpe_train(dataset, repeats=DEFAULT_REPEATS, iterations=DEFAULT_ITERATIONS,
 
 def tpe_apply(w, dataset):
     """Project every descriptor through the matrix; labels pass through."""
-    return dataset.remap("matrix", w.shape[0], lambda x: x @ w)
+    return dataset.remap("matrix", w.shape, lambda x: x @ w)
 
 
 def save_tpe(w, path):

@@ -37,13 +37,14 @@ thread submits work, and only lanes that never wait on the pool run on it.
 thread while it lives (``linalg.blas_threads``).
 
 Memory: ``TrainState`` holds what the stages share. The splits are index
-arrays into the caller's float64 corpus, gathered per batch or per chunk,
-never copied whole. A stage's own buffers (Adam state, batches, stage 4's
-validation pass) are locals of its method; only ``f_train``, the pass over
-the training split that stage 4 and the next stage 2 share, outlives one.
+arrays into the caller's corpus (float32 as read from a file), gathered and
+widened to float64 per batch or per chunk, never copied whole. A stage's
+own buffers (Adam state, batches, stage 4's validation pass) are locals of
+its method; only ``f_train``, the pass over the training split that stage
+4 and the next stage 2 share, outlives one.
 Batches are drawn as they are used: stage 2 keeps no list of its
 ``t_gtrain`` batches (96 MiB at the paper's 30,000 steps of 400).
-A 512-d train at batch 400 and k 5 peaks at about 135 MiB.
+A 512-d train at batch 400 and k 5 peaks at about 118 MiB.
 """
 
 import contextlib
@@ -59,7 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, losses, nets
-from .dataio import format_float, refuse_oversized, rng, split_by_identity, write_csv_report
+from .dataio import (ROW_CHUNK, format_float, refuse_oversized, rng, split_by_identity,
+                     write_csv_report)
 from .errors import NumericError, ValidationError
 
 # Spawn-key namespaces under the run seed.
@@ -205,7 +207,7 @@ def _check_finite(value, stage, episode, iteration):
         )
 
 
-GENERATOR_CHUNK = 1024  # rows per generator call in whole-split passes
+GENERATOR_CHUNK = ROW_CHUNK  # rows per generator call in whole-split passes
 
 
 def _generate(gen, vectors, rows=None):
@@ -485,4 +487,4 @@ def train(dataset, config, stage_hook=None):
 
 def transform(gen, dataset):
     """Re-embed every record through the generator; labels pass through."""
-    return dataset.remap("generator", gen.weight.shape[0], functools.partial(_generate, gen))
+    return dataset.remap("generator", gen.weight.shape, functools.partial(_generate, gen))

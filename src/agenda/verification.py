@@ -21,13 +21,13 @@ from .probe import probe_eval, probe_train
 
 GROUP_NAMES = {0: "female", 1: "male"}
 DEFAULT_IMPOSTOR_RATIO = 2.0
-# Pairs scored per step. The two gathered row blocks are
-# 2 x SCORE_CHUNK x dim float64s whatever the protocol size: 0.5 MiB at
+# Pairs, and rows of the norm pass, per step. The two gathered row blocks
+# are 2 x SCORE_CHUNK x dim float64s whatever the protocol size: 0.5 MiB at
 # 256-d, so einsum reads them from a 2 MiB L2 instead of from memory.
-# Eval of 735,000 256-d pairs (2-core x86, one BLAS thread) took 1.4-1.8 s
-# and peaked at 168 MiB with blocks of 16,384 (64 MiB at 256-d); with
-# blocks of 256 it takes 0.45-0.6 s and 105 MiB. Each score is its own
-# row's dot product, so the bytes do not depend on the block size.
+# Eval of 735,000 256-d pairs (2-core x86, one BLAS thread, float64 corpus)
+# took 1.4-1.8 s and peaked at 168 MiB with blocks of 16,384; with blocks
+# of 256, 0.45-0.6 s and 105 MiB (95 MiB from a float32 corpus). Each score
+# is its own row's dot product, so the bytes do not depend on the block size.
 SCORE_CHUNK = 256
 THRESHOLD_RULE = (
     "threshold = smallest score with impostor-fraction-strictly-above <= target; "
@@ -73,10 +73,18 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
     Impostor pairs are same-group, different-identity; per group their
     count is ``impostor_ratio`` times the genuine count (at least one).
     """
+    index_a, index_b = _pair_indices(dataset, impostor_ratio, seed)
+    # A pair is genuine exactly when its identities match. Built after every
+    # index piece is freed, these columns reuse that heap: 6 MiB less at 128-d.
+    ids = dataset.identities
+    return PairProtocol(index_a, index_b, ids[index_a] == ids[index_b], dataset.attributes[index_a])
+
+
+def _pair_indices(dataset, impostor_ratio, seed):
     if impostor_ratio <= 0:
         raise ValidationError("impostor_ratio must be positive")
     draws = rng(seed)
-    cols_a, cols_b, cols_genuine, cols_group = [], [], [], []
+    cols_a, cols_b = [], []
     for group in (1, 0):
         group_idx = np.flatnonzero(dataset.attributes == group)
         if len(group_idx) == 0:
@@ -113,12 +121,7 @@ def make_pairs(dataset, impostor_ratio=DEFAULT_IMPOSTOR_RATIO, seed=0):
             imp_b[same] = draws.choice(group_idx, size=int(same.sum()), replace=True)
         cols_a += [gen_a, imp_a]
         cols_b += [gen_b, imp_b]
-        cols_genuine += [np.ones(len(gen_a), bool), np.zeros(n_imp, bool)]
-        cols_group += [np.full(len(gen_a) + n_imp, group, np.uint8)]
-    return PairProtocol(
-        np.concatenate(cols_a), np.concatenate(cols_b),
-        np.concatenate(cols_genuine), np.concatenate(cols_group),
-    )
+    return np.concatenate(cols_a), np.concatenate(cols_b)
 
 
 def read_pairs_csv(path, dataset):
@@ -153,10 +156,14 @@ def score_pairs(dataset, protocol):
     counts toward the warning total.
     """
     protocol.validate_against(dataset)
-    norms = np.linalg.norm(dataset.vectors, axis=1)
+    unit = dataset.vectors.astype(np.float64)  # the one widened copy, normalized in place
+    # Norms a block at a time, so no full-size square sits beside ``unit``.
+    norms = np.empty(dataset.n)
+    for start in range(0, dataset.n, SCORE_CHUNK):
+        block = slice(start, start + SCORE_CHUNK)
+        norms[block] = np.linalg.norm(unit[block], axis=1)
     zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    unit = dataset.vectors / safe[:, None]
+    unit /= np.where(zero, 1.0, norms)[:, None]
     scores = np.empty(protocol.n)
     for start in range(0, protocol.n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)

@@ -68,7 +68,8 @@ def peak_rss_mib(*argv):
 
 @pytest.fixture(scope="session")
 def corpus_512d(tmp_path_factory):
-    """The default corpus at the paper's 512-d: 10,000 records, 41 MiB as float64."""
+    """The default corpus at the paper's 512-d: 10,000 records, 20 MiB of
+    float32 vectors in memory (41 MiB if widened whole)."""
     root = tmp_path_factory.mktemp("c512")
     spec = root / "spec.txt"
     spec.write_text("dim=512\n")

@@ -46,11 +46,7 @@ def test_a_file_on_one_side_only_differs(tmp_path):
 def test_units_round_argv_parses(tmp_path):
     # Parsing only: no step runs. A CLI change that refused an option the
     # round passes, or a config key the trainer dropped, fails here.
-    sys.path.insert(0, str(REPO / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(REPO / "perfbench"))
+    workloads = _workloads()
     rounds = compare_outputs.rounds(workloads)
     assert set(rounds) == set(workloads.WORKLOADS) | {"units"}
     units = rounds["units"]
@@ -60,3 +56,43 @@ def test_units_round_argv_parses(tmp_path):
     argvs = [argv for _, argv in units.steps(5)]
     assert [cli.parse_args(argv).subcommand for argv in argvs] == ["tpe"] + ["sweep"] * 3
     assert cli.parse_args(workloads.synth_argv(units, 5)).spec is None  # the desk corpus
+
+
+def _workloads():
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return workloads
+
+
+def test_a_round_reads_each_steps_own_peak(tmp_path):
+    workloads = _workloads()
+    tiny = workloads.Workload(
+        "tiny", "", dict(n_identities=20, samples_per_identity=4, dim=8),
+        lambda seed: [("eval", ["eval", "--data", "corpus.fds", "--fprs", "1e-2",
+                                "--report", "r.csv", "--seed", str(seed)])], checks=None)
+    peaks = compare_outputs.run_round(REPO, tmp_path / "w", tiny, 3)
+    assert list(peaks) == ["synth", "eval"]
+    # VmHWM of a small step that imported numpy: tens of MiB, below this
+    # runner's own peak late in a suite (about 170 MiB), which the step's
+    # ru_maxrss would include
+    assert all(10 < peak < 100 for peak in peaks.values()), peaks
+    assert (tmp_path / "w" / "r.csv").is_file()
+
+
+def test_peaks_printed_beside_the_diff(tmp_path, monkeypatch, capsys):
+    def fake_round(tree, work, workload, seed):
+        _write_round(work, 1.0, seed=seed if tree == "a" else seed + 1)
+        return {"synth": 45.0, "train": 137.0 if tree == "a" else 118.4}
+
+    monkeypatch.setattr(compare_outputs, "run_round", fake_round)
+    code = compare_outputs.main(["a", "b", "--workload", "units", "--seed", "7",
+                                 "--work", str(tmp_path)])
+    assert code == 1  # the manifests' seeds differ
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["step", "parent", "MiB", "change", "MiB", "diff"]
+    assert lines[1].split() == ["synth", "45.0", "45.0", "+0.0"]
+    assert lines[2].split() == ["train", "137.0", "118.4", "-18.6"]
+    assert lines[3:] == ["differs: r.csv.manifest.json", "units at seed 7: 1 file(s) differ"]

@@ -301,14 +301,36 @@ class TestBoundedScoring:
 
     def test_256d_eval_peak_rss_is_bounded(self, corpus_256d, tmp_path):
         # The two gathered 256-d pair blocks alone would take 3 GB in one
-        # piece; blocks of 16,384 pairs kept the peak at 168 MiB.
+        # piece; blocks of 16,384 pairs kept the peak at 168 MiB, and
+        # blocks of 256 at 105 MiB with the corpus held as float64.
         peak_mib = peak_rss_mib("eval", "--data", corpus_256d, "--fprs", "1e-3",
                                      "--report", tmp_path / "r.csv", "--seed", 3)
         assert peak_mib < 140, peak_mib
 
+    def test_256d_eval_widens_the_corpus_once(self, corpus_256d, tmp_path):
+        # The corpus read as float32, widened once into the unit vectors,
+        # and its norms taken a block at a time: VmHWM 93.6-93.8 MiB, against
+        # 103.6-104.8 with a float64 corpus and a whole-corpus norm beside it.
+        peak_mib = peak_rss_mib("eval", "--data", corpus_256d, "--fprs", "1e-3",
+                                "--report", tmp_path / "r.csv", "--seed", 3)
+        assert peak_mib < 100, peak_mib
+
+    def test_128d_eval_frees_the_pair_pieces(self, tmp_path):
+        # make_pairs derives its genuine and group columns once the index
+        # pieces are freed, so they cannot pin that heap: VmHWM 71.5-71.7 MiB
+        # over seeds 3-6 and three report-name lengths. Concatenated from
+        # per-group pieces, the columns left 79.1 or 86.2 MiB by heap layout.
+        spec = tmp_path / "spec.txt"
+        spec.write_text("dim=128\n")
+        code, _, err = run_cli("synth", "--spec", spec, "--out", tmp_path / "c.fds", "--seed", 3)
+        assert code == 0, err
+        peak_mib = peak_rss_mib("eval", "--data", tmp_path / "c.fds", "--fprs", "1e-3",
+                                "--report", tmp_path / "r.csv", "--seed", 3)
+        assert peak_mib < 76, peak_mib
+
     def test_256d_probe_peak_rss_is_bounded(self, corpus_256d, tmp_path):
-        # With eval at about 105 MiB, probe on the 256-d corpus shares the
-        # highest peak of the quick-start steps.
+        # Probe on the 256-d corpus read 75 MiB with the corpus held as
+        # float64 and 61 MiB as float32, under eval's peak either way.
         peak_mib = peak_rss_mib("probe", "--data", corpus_256d,
                                      "--report", tmp_path / "p.csv", "--seed", 3)
         assert peak_mib < 140, peak_mib

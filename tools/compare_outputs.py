@@ -17,8 +17,12 @@ The rounds run in ``WORK/parent`` and
 ``WORK/change`` (``--work``, default ``.compare_work``), which are kept for
 inspection and replaced by the next run. Manifests are compared as JSON
 without their timings (``wall_time_s``, ``stage_seconds``); every other file
-byte for byte. The exit status is 1 if any file differs or exists on one
-side only, 2 if a step fails, and 0 otherwise.
+byte for byte. Beside the diff, a table gives each step's peak RSS in both
+trees: the VmHWM that the step's own process reads at its end (Linux), not
+``ru_maxrss``, which also counts the pages of the process that started it.
+The children of a step that forks units are not counted. The exit status
+is 1 if any file differs or exists on one side only, 2 if a step fails, and
+0 otherwise.
 """
 
 import argparse
@@ -33,6 +37,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMINGS = ("wall_time_s", "stage_seconds")
 UNITS_CONFIG = dict(n_ep=2, t_fc=200, t_gtrain=60, t_deb=20, t_plat=30)
+# Runs ``agenda`` on its argv, then prints this process's VmHWM (kB) last.
+STEP = ("import sys; from agenda.cli import main; code = main(sys.argv[1:]); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:'))); sys.exit(code)")
 
 
 def _units_steps(seed):
@@ -81,21 +89,34 @@ def differing(a, b):
 
 
 def run_round(tree, work, workload, seed):
-    """One round of ``workload`` at ``seed`` through ``tree``'s CLI in ``work``."""
+    """One round of ``workload`` at ``seed`` through ``tree``'s CLI in ``work``;
+    returns ``{step: peak RSS in MiB}`` in step order."""
     import workloads
 
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     workloads.write_inputs(workload, work)
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    peaks = {}
     for label, argv in [("synth", workloads.synth_argv(workload, seed))] + workload.steps(seed):
-        proc = subprocess.run([sys.executable, "-m", "agenda.cli", *argv], cwd=work, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run([sys.executable, "-c", STEP, *argv], cwd=work, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         if proc.returncode != 0:
             raise RuntimeError("%s: %s exited %d: %s"
                                % (tree, label, proc.returncode, proc.stderr.strip()))
+        peaks[label] = int(proc.stdout.split()[-1]) / 1024
         if label == "synth" and workload.pairs:
             workloads.write_pairs(work / "pairs.csv", workload.spec, seed)
+    return peaks
+
+
+def peak_table(parent, change):
+    """Lines of a table of each step's peak RSS in the two trees."""
+    lines = ["%-18s %10s %10s %8s" % ("step", "parent MiB", "change MiB", "diff")]
+    for label in parent:
+        lines.append("%-18s %10.1f %10.1f %+8.1f" % (label, parent[label], change[label],
+                                                    change[label] - parent[label]))
+    return lines
 
 
 def main(argv=None):
@@ -113,11 +134,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     workload = workload_rounds[args.workload]
     try:
-        for side in ("parent", "change"):
-            run_round(getattr(args, side), args.work / side, workload, args.seed)
+        peaks = [run_round(getattr(args, side), args.work / side, workload, args.seed)
+                 for side in ("parent", "change")]
     except RuntimeError as exc:
         print("compare_outputs: %s" % exc, file=sys.stderr)
         return 2
+    for line in peak_table(*peaks):
+        print(line)
     found = differing(args.work / "parent", args.work / "change")
     for name in found:
         print("differs: %s" % name)
