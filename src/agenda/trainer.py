@@ -24,14 +24,17 @@ more threads, with the same arithmetic in the same order as on one, so the
 results do not depend on the thread count. Stage 2 splits the members into
 ``min(k, workers)`` contiguous groups, each trained for all ``t_gtrain``
 steps on its own thread, Adam state and copy of the stage's batch stream.
-In stage 3 the classifier lane (forward, loss, backward) runs beside the
+In stages 1 and 3 the pool computes the second row part of each large
+generator product (``nets._product``), and the classifier's Adam step runs
+on it beside the generator's backward pass and Adam step. In stage 3 the
+classifier lane (forward, loss, backward) runs there beside the
 discriminator lane (stacked forward, the strongest member's input
-gradient), and the classifier's Adam step runs beside the generator's
-backward pass and Adam step. Stage 1 has one lane; the pool computes the
-second row part of each large generator and classifier product
-(``nets._product``), and the classifier's Adam step as in stage 3. A cut
-depends on the product's shape only, never on the worker count. Only this
-thread submits work, and only lanes that never wait on the pool run on it.
+gradient); stage 1 has one lane and cuts its classifier's products too.
+In stage 4 the pool computes the next batch's gradient beside each
+validation check after the first, and Adam applies it only if the check
+says go on. A cut depends on the product's shape only, never on the
+worker count. Only this thread submits work, and only lanes that never
+wait on the pool run on it.
 ``thread_plan`` gives one worker per usable core, at most ``max(k, 2)``.
 ``train`` hands the one pool to every stage method, and BLAS runs on one
 thread while it lives (``linalg.blas_threads``).
@@ -236,16 +239,17 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
     """One generator + classifier update (stage 1, or stage 3 with the
     frozen ``ensemble``); returns the fields of the iteration's log row.
 
-    Stage 1 has one lane, on this thread, and splits the large products of
-    its generator and classifier passes by rows across ``pool``. In stage 3
-    no product is split, and the classifier lane runs on ``pool`` beside
-    the discriminator lane. In both, the classifier's Adam step runs on
-    ``pool`` beside the generator's backward pass. The loss check comes
-    before any parameter moves.
+    Both stages split the large products of the generator's passes by rows
+    across ``pool``. Stage 1 has one lane, on this thread, and splits its
+    classifier's products too. In stage 3 the classifier lane runs on
+    ``pool`` beside the discriminator lane and splits nothing, since a lane
+    on the pool must never wait on it. In both, the classifier's Adam step
+    runs on ``pool`` beside the generator's backward pass. The loss check
+    comes before any parameter moves.
     """
-    split, lanes = (pool, _INLINE) if ensemble is None else (None, pool)
-    f_out, gcache = nets.generator_forward(gen, x, pool=split)
-    classified = lanes.submit(_classifier_lane, cls, f_out, y_id, split)
+    lanes, class_split = (_INLINE, pool) if ensemble is None else (pool, None)
+    f_out, gcache = nets.generator_forward(gen, x, pool=pool)
+    classified = lanes.submit(_classifier_lane, cls, f_out, y_id, class_split)
     if ensemble is not None:
         outs, dcache = nets.discriminator_forward(ensemble, f_out)  # all k at once
         ld, kstar = losses.l_deb([losses.l_a(out) for out in outs])
@@ -265,21 +269,22 @@ def _class_step(pool, gen, cls, adam_gen, adam_cls, x, y_id, where, ensemble=Non
         row.update(l_deb=ld, l_br=lbr, member_k=kstar)
         d_f = d_f + d_f_deb
     moved = pool.submit(nets.adam_step, adam_cls, cls, cgrads)
-    ggrads = nets.generator_backward(gen, gcache, d_f, pool=split)
+    ggrads = nets.generator_backward(gen, gcache, d_f, pool=pool)
     nets.adam_step(adam_gen, gen, ggrads)  # its error, if any, is raised first
     moved.result()
     return row
 
 
-def _discriminator_step(disc, adam, f_out, y_g, where):
-    """One attribute-loss update of one member (stage 4) or of a stack of
-    members (stage 2); generator and classifier stay frozen."""
+def _discriminator_grads(disc, f_out, y_g, where):
+    """The attribute-loss gradients of one member (stage 4) or of a stack of
+    members (stage 2), after the loss check; ``nets.adam_step`` applies
+    them. Generator and classifier stay frozen."""
     out, dcache = nets.discriminator_forward(disc, f_out)
     _check_finite(losses.l_g_member(out, y_g), *where)
     grads, _ = nets.discriminator_backward(
         disc, dcache, losses.l_g_member_grad(out, y_g), input_grad=False
     )
-    nets.adam_step(adam, disc, grads)
+    return grads
 
 
 def _member_group_steps(group, batches, lr, f_train, y_g_all, episode, stop):
@@ -294,7 +299,8 @@ def _member_group_steps(group, batches, lr, f_train, y_g_all, episode, stop):
         if stop.is_set():
             return None
         try:
-            _discriminator_step(group, adam, f_train[idx], y_g_all[idx], (2, episode, n))
+            grads = _discriminator_grads(group, f_train[idx], y_g_all[idx], (2, episode, n))
+            nets.adam_step(adam, group, grads)
         except NumericError as exc:
             return n, exc
     return None
@@ -314,7 +320,7 @@ def _stack_failure(failures):
 
 def thread_plan(k):
     """Worker count for one training run: one per usable core, at most
-    ``max(k, 2)``, so k = 1 still gives stages 1 and 3 a second thread.
+    ``max(k, 2)``, so k = 1 still gives stages 1, 3 and 4 a second thread.
     Without a handle on numpy's BLAS thread count, BLAS keeps the
     environment's count and training runs on one thread.
     """
@@ -450,15 +456,24 @@ class TrainState:
         member = self.ensemble.members[k]
         adam = nets.AdamState(lr=self.config.alpha2)
         f_val = _generate(self.gen, self.dataset.vectors, self.val_idx)
-        batches = batch_stream()
+        batches = batch_stream()  # one batch per check; a stopping check's goes unused
+
+        def gradient(n, idx):  # it and check n read the member as step n - 1 left it
+            return _discriminator_grads(member, self.frozen()[idx], self.y_g[idx], (4, episode, n))
+
+        ahead = None
         for n in range(self.config.t_plat):
+            if n:  # beside the check; check 0 may stop the stage before f_train exists
+                ahead = pool.submit(gradient, n, next(batches))
             val_out, _ = nets.discriminator_forward(member, f_val)
             acc = float(np.mean(np.argmax(val_out, axis=1) == self.val_attrs))
             self.log.append(episode=episode, stage=4, iteration=n, member_k=k, val_acc=acc)
             if acc > self.config.g_thresh:
                 break
-            idx = next(batches)
-            _discriminator_step(member, adam, self.frozen()[idx], self.y_g[idx], (4, episode, n))
+            grads = gradient(n, next(batches)) if ahead is None else ahead.result()
+            nets.adam_step(adam, member, grads)
+        if ahead is not None:  # a stopping check waits for its gradient, then drops it
+            ahead.exception()  # and any error it raised
 
 
 def train(dataset, config, stage_hook=None):

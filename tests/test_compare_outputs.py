@@ -17,11 +17,12 @@ compare_outputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_outputs)
 
 
-def _write_round(root, wall_time_s, seed=7, report=b"# seed=7\nmetric,value\n"):
+def _write_round(root, wall_time_s, seed=7, report=b"# seed=7\nmetric,value\n",
+                 subcommand="eval"):
     root.mkdir()
     (root / "r.csv").write_bytes(report)
     (root / "r.csv.manifest.json").write_text(json.dumps(dict(
-        subcommand="eval", seed=seed, wall_time_s=wall_time_s,
+        subcommand=subcommand, seed=seed, wall_time_s=wall_time_s,
         stage_seconds={"1": wall_time_s})))
 
 
@@ -96,3 +97,27 @@ def test_peaks_printed_beside_the_diff(tmp_path, monkeypatch, capsys):
     assert lines[1].split() == ["synth", "45.0", "45.0", "+0.0"]
     assert lines[2].split() == ["train", "137.0", "118.4", "-18.6"]
     assert lines[3:] == ["differs: r.csv.manifest.json", "units at seed 7: 1 file(s) differ"]
+
+
+def test_stage_seconds_printed_after_the_peaks(tmp_path, monkeypatch, capsys):
+    # The train manifest's stage seconds of both trees, one row per stage;
+    # they differ, yet no file does and the exit status stays 0
+    def fake_round(tree, work, workload, seed):
+        _write_round(work, 1.0, subcommand="train")
+        manifest = work / "r.csv.manifest.json"
+        fields = json.loads(manifest.read_text())
+        fields["stage_seconds"] = ({"1": 1.2, "2": 0.45, "3": 1.07, "4": 0.72} if tree == "a"
+                                   else {"1": 1.2, "2": 0.45, "3": 0.9, "4": 0.5})
+        manifest.write_text(json.dumps(fields))
+        return {"synth": 45.0, "train": 118.0}
+
+    monkeypatch.setattr(compare_outputs, "run_round", fake_round)
+    code = compare_outputs.main(["a", "b", "--workload", "fullscale_train", "--seed", "7",
+                                 "--work", str(tmp_path)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split() == ["stage", "parent", "s", "change", "s", "diff"]
+    assert [line.split() for line in lines[4:8]] == [
+        ["1", "1.200", "1.200", "+0.000"], ["2", "0.450", "0.450", "+0.000"],
+        ["3", "1.070", "0.900", "-0.170"], ["4", "0.720", "0.500", "-0.220"]]
+    assert lines[8:] == ["fullscale_train at seed 7: 0 file(s) differ"]

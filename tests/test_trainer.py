@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import Counter
 import sys
 import threading
 import time
@@ -306,7 +307,7 @@ class TestWorkerCounts:
         assert runs[2] == runs[0]
 
     def test_one_member_on_two_workers(self, monkeypatch):
-        # k = 1 gets a second worker for stages 1 and 3; stage 2 then runs
+        # k = 1 gets a second worker for stages 1, 3 and 4; stage 2 then runs
         # one group, not an empty one
         ds, _ = tiny_corpus()
         cfg = tiny_config(k=1, n_ep=3)
@@ -326,10 +327,12 @@ class TestWorkerCounts:
         monkeypatch.setattr(trainer.linalg, "openblas_handle", lambda: None)
         assert trainer.thread_plan(5) == 1
 
-    def test_same_bytes_where_stage_1_splits(self, monkeypatch):
+    def test_same_bytes_where_stages_1_and_3_split(self, monkeypatch):
         # The paper's 512-d at batch 400, with 85 training identities: all
-        # five stage-1 products are over the work floor, so each is cut in
-        # two; with the floor above every shape, nothing is cut.
+        # five stage-1 products and stage 3's two generator products are
+        # over the work floor, so each is cut in two; stage 3's classifier
+        # lane runs on the pool and cuts nothing. With the floor above every
+        # shape, nothing is cut.
         ds, _ = tiny_corpus(n_identities=100, samples=8, dim=512)
         cfg = tiny_config(k=3, t_fc=4, t_gtrain=2, t_deb=2, t_plat=2, batch_size=400)
         real = nets._split_at
@@ -355,7 +358,7 @@ class TestWorkerCounts:
                 splits.append(sum(cut is not None for cut in cuts))
         finally:
             sys.setswitchinterval(interval)
-        assert splits == [5 * cfg.t_fc] * 3 + [0]
+        assert splits == [5 * cfg.t_fc + 2 * cfg.t_deb * cfg.n_ep] * 3 + [0]
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
         assert runs[3] == runs[0]
@@ -371,6 +374,19 @@ class TestWorkerCounts:
                 _train_on(monkeypatch, workers, ds, cfg)
             messages.append(str(err.value))
         assert messages == ["non-finite loss (nan) at stage 1, episode 0, iteration 1"] * 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_split_stage_3_raises_the_same_error(self, monkeypatch):
+        # alpha3 = 1e300 sends the generator past overflow at stage 3's first
+        # step; its forward and backward products are cut in two
+        ds, _ = tiny_corpus(n_identities=100, samples=8, dim=512)
+        cfg = tiny_config(batch_size=400, alpha3=1e300, t_fc=2, t_gtrain=2)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(NumericError) as err:
+                _train_on(monkeypatch, workers, ds, cfg)
+            messages.append(str(err.value))
+        assert messages == ["non-finite loss (nan) at stage 3, episode 0, iteration 1"] * 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_stack_raises_the_same_error(self, monkeypatch):
@@ -407,7 +423,7 @@ class TestWorkerCounts:
     def test_interrupt_stops_the_other_groups(self, monkeypatch):
         # an exception on this thread (Ctrl-C, say) in stage 2 ends the
         # other group within a step, not after all t_gtrain steps
-        real = trainer._discriminator_step
+        real = trainer._discriminator_grads
         worker_steps = []
 
         def step(*args):
@@ -417,7 +433,7 @@ class TestWorkerCounts:
             time.sleep(0.001)
             return real(*args)
 
-        monkeypatch.setattr(trainer, "_discriminator_step", step)
+        monkeypatch.setattr(trainer, "_discriminator_grads", step)
         ds, _ = tiny_corpus()
         with pytest.raises(RuntimeError, match="interrupted"):
             _train_on(monkeypatch, 2, ds, tiny_config(t_gtrain=20000))
@@ -452,6 +468,123 @@ class TestWorkerCounts:
             assert get_threads() == 2
         finally:
             set_threads(before)
+
+
+def _stage4_config(**kw):
+    # Members get one stage-2 step at a small rate, so on the tiny corpus the
+    # stage-4 checks under g_thresh 0.9 stop at iterations 0 to 4
+    return tiny_config(k=3, n_ep=6, t_ep=2, t_gtrain=1, alpha2=3e-4, t_plat=12, **kw)
+
+
+def _stage4_rows(log):
+    """Stage-4 log rows per episode."""
+    return Counter(r.episode for r in log.records if r.stage == 4)
+
+
+def _poison_stage4_gradient(monkeypatch, where):
+    """Make the gradient of stage 4's step ``where`` = (4, episode, iteration)
+    see NaN features; returns the list of the ``where`` of every stage-4
+    gradient computed."""
+    real = trainer._discriminator_grads
+    computed = []
+
+    def grads(disc, f_out, y_g, at):
+        if at[0] == 4:
+            computed.append(at)
+        if at == where:
+            f_out = np.full_like(f_out, np.nan)
+        return real(disc, f_out, y_g, at)
+
+    monkeypatch.setattr(trainer, "_discriminator_grads", grads)
+    return computed
+
+
+class TestStage4BesideTheCheck:
+    """From check 1 on, the next batch's gradient is computed on the pool
+    beside each validation check and applied only if the check says go on."""
+
+    @pytest.mark.parametrize("g_thresh", [0.9, 1.0], ids=["stops early", "runs to t_plat"])
+    def test_same_bytes_at_one_two_and_k_workers(self, monkeypatch, g_thresh):
+        ds, _ = tiny_corpus()
+        cfg = _stage4_config(g_thresh=g_thresh)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, cfg.k):
+                gen, cls, ensemble, log = _train_on(monkeypatch, workers, ds, cfg)
+                runs.append(([p.flat.tobytes() for p in (gen, cls, ensemble)],
+                             list(log.rows())))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        lengths = set(_stage4_rows(log).values())
+        if g_thresh < 1.0:  # stops at the first check, and at later ones
+            assert 1 in lengths and max(lengths) > 1 and cfg.t_plat not in lengths
+        else:
+            assert lengths == {cfg.t_plat}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_nonfinite_loss_raises_after_its_check_row(self, monkeypatch, workers):
+        logs = []
+
+        class RecordedLog(trainer.TrainLog):
+            def __init__(self, **kw):
+                super().__init__(**kw)
+                logs.append(self)
+
+        monkeypatch.setattr(trainer, "TrainLog", RecordedLog)
+        _poison_stage4_gradient(monkeypatch, (4, 1, 2))
+        ds, _ = tiny_corpus()
+        with pytest.raises(NumericError) as err:
+            _train_on(monkeypatch, workers, ds, _stage4_config(g_thresh=1.0))
+        assert str(err.value) == "non-finite loss (nan) at stage 4, episode 1, iteration 2"
+        last = logs[-1].records[-1]
+        assert (last.episode, last.stage, last.iteration) == (1, 4, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gradient_of_the_stopping_check_is_dropped(self, monkeypatch, workers):
+        ds, _ = tiny_corpus()
+        cfg = _stage4_config(g_thresh=0.9)
+        clean = _train_on(monkeypatch, workers, ds, cfg)
+        rows = _stage4_rows(clean[3])
+        episode = next(e for e in sorted(rows) if rows[e] > 1)
+        stop = (4, episode, rows[episode] - 1)
+        computed = _poison_stage4_gradient(monkeypatch, stop)
+        poisoned = _train_on(monkeypatch, workers, ds, cfg)
+        assert stop in computed  # computed beside the check, then dropped
+        assert ([p.flat.tobytes() for p in poisoned[:3]], list(poisoned[3].rows())) == \
+            ([p.flat.tobytes() for p in clean[:3]], list(clean[3].rows()))
+
+    def test_a_first_check_stop_makes_no_frozen_pass(self, monkeypatch):
+        # Each stage 4 passes the generator over the validation split; only
+        # one that goes on past its first check passes it over the training
+        # split too.
+        ds, _ = tiny_corpus()
+        cfg = _stage4_config(g_thresh=0.9)
+        train_idx, val_idx = dataio.split_by_identity(
+            ds, cfg.validation_fraction,
+            np.random.SeedSequence(cfg.seed, spawn_key=(trainer.NS_SPLIT,)),
+        )
+        at = [None]
+        rows = Counter()
+        real = nets.generator_forward
+
+        def counted(params, x, **kw):
+            if at[0] is not None:
+                rows[at[0]] += len(x)
+            return real(params, x, **kw)
+
+        def hook(event, episode, stage, *_):
+            at[0] = episode if event == "start" and stage == 4 else None
+
+        monkeypatch.setattr(nets, "generator_forward", counted)
+        _, _, _, log = trainer.train(ds, cfg, stage_hook=hook)
+        checks = _stage4_rows(log)
+        assert 1 in checks.values() and max(checks.values()) > 1
+        assert rows == {e: len(val_idx) + (len(train_idx) if n > 1 else 0)
+                        for e, n in checks.items()}
 
 
 class TestTransform:

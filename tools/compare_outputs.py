@@ -20,7 +20,9 @@ without their timings (``wall_time_s``, ``stage_seconds``); every other file
 byte for byte. Beside the diff, a table gives each step's peak RSS in both
 trees: the VmHWM that the step's own process reads at its end (Linux), not
 ``ru_maxrss``, which also counts the pages of the process that started it.
-The children of a step that forks units are not counted. The exit status
+The children of a step that forks units are not counted. A second table
+gives the ``stage_seconds`` of the ``train`` manifest in both trees, one
+row per stage, where the round trains. The exit status
 is 1 if any file differs or exists on one side only, 2 if a step fails, and
 0 otherwise.
 """
@@ -119,6 +121,25 @@ def peak_table(parent, change):
     return lines
 
 
+def train_stage_seconds(work):
+    """``{stage: seconds}`` of the ``train`` manifest under ``work``, or
+    None when the round has no ``train`` step."""
+    for path in sorted(work.rglob("*.manifest.json")):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if manifest.get("subcommand") == "train":
+            return manifest.get("stage_seconds", {})
+    return None
+
+
+def stage_table(parent, change):
+    """Lines of a table of each training stage's seconds in the two trees."""
+    lines = ["%-18s %10s %10s %8s" % ("stage", "parent s", "change s", "diff")]
+    for stage in parent:
+        lines.append("%-18s %10.3f %10.3f %+8.3f" % (stage, parent[stage], change[stage],
+                                                    change[stage] - parent[stage]))
+    return lines
+
+
 def main(argv=None):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -141,6 +162,10 @@ def main(argv=None):
         return 2
     for line in peak_table(*peaks):
         print(line)
+    seconds = [train_stage_seconds(args.work / side) for side in ("parent", "change")]
+    if None not in seconds:
+        for line in stage_table(*seconds):
+            print(line)
     found = differing(args.work / "parent", args.work / "change")
     for name in found:
         print("differs: %s" % name)
